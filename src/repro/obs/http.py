@@ -22,7 +22,11 @@ and serves the conventional operator endpoints:
 Callers with write traffic (the serving daemon's ``/ingest``) register
 POST handlers through ``post_routes`` — each maps a path to a callable
 from ``(body, query)`` to an :class:`HttpReply`, so the daemon reuses
-this one server for both telemetry and ingestion.
+this one server for both telemetry and ingestion.  A POST whose
+``Content-Length`` is malformed (400) or above :data:`MAX_POST_BYTES`
+(413) is refused before its body is read.  Every reply leaves in one
+socket write on a ``TCP_NODELAY`` connection, so keep-alive clients
+never wait on Nagle's algorithm.
 
 Every request increments the labeled ``telemetry_requests`` counter in
 the served registry, so scrape traffic is itself observable.  The
@@ -36,6 +40,7 @@ scrape.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -53,6 +58,16 @@ from repro.obs.recorder import FlightRecorder
 #: Endpoint label values for the ``telemetry_requests`` counter; paths
 #: outside this set count under ``other`` (bounded label cardinality).
 _KNOWN_ENDPOINTS = ("/metrics", "/health", "/status", "/recorder")
+
+#: Largest POST body the server will read; a longer ``Content-Length``
+#: is answered 413 without reading the body.  The largest ingest body
+#: in normal use (4096 samples) is about 1 MB.
+MAX_POST_BYTES = 64 * 1024 * 1024
+
+#: Extra header of a refusal that leaves the request body unread: the
+#: connection must close, or those bytes would be parsed as the next
+#: request (``send_header`` also marks the connection for closing).
+_CLOSE = (("Connection", "close"),)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,6 +138,9 @@ class _TelemetryRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-telemetry/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection: with Nagle on, the last
+    # segment of a reply waits for the client's (delayed, ~40 ms) ACK.
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 — http.server's contract
         server: "_BoundServer" = self.server  # type: ignore[assignment]
@@ -166,7 +184,19 @@ class _TelemetryRequestHandler(BaseHTTPRequestHandler):
         if handler is None:
             self._reply_json(404, {"error": "not found", "path": path})
             return
-        length = int(self.headers.get("Content-Length", "0") or "0")
+        raw_length = (self.headers.get("Content-Length", "0") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            self._reply_json(400, {"error": "invalid Content-Length",
+                                   "content_length": raw_length},
+                             extra=_CLOSE)
+            return
+        length = int(raw_length)
+        if length > MAX_POST_BYTES:
+            self._reply_json(413, {"error": "request body too large",
+                                   "content_length": length,
+                                   "max_bytes": MAX_POST_BYTES},
+                             extra=_CLOSE)
+            return
         body = self.rfile.read(length) if length > 0 else b""
         query = dict(parse_qsl(raw_query))
         try:
@@ -183,22 +213,34 @@ class _TelemetryRequestHandler(BaseHTTPRequestHandler):
 
     def _reply(self, code: int, content_type: str, body: bytes,
                extra: tuple[tuple[str, str], ...] = ()) -> None:
+        """Send status line, headers and body in one write.
+
+        ``end_headers`` would flush the head in a write of its own; the
+        body then trails as a second small segment.  One write puts the
+        whole reply on the wire at once.
+        """
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in extra:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        head = getattr(self, "_headers_buffer", [])
+        if self.request_version != "HTTP/0.9":
+            head.append(b"\r\n")
+        self._headers_buffer = []
+        self.wfile.write(b"".join(head) + body)
 
-    def _reply_json(self, code: int, payload: dict[str, Any]) -> None:
+    def _reply_json(self, code: int, payload: dict[str, Any],
+                    extra: tuple[tuple[str, str], ...] = ()) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self._reply(code, "application/json; charset=utf-8", body)
+        self._reply(code, "application/json; charset=utf-8", body,
+                    extra=extra)
 
     def log_message(self, format: str, *args: Any) -> None:
         """Route access logs through repro.obs.logging, not stderr."""
-        self.server.logger.debug(  # type: ignore[attr-defined]
-            "%s %s", self.address_string(), format % args)
+        logger = self.server.logger  # type: ignore[attr-defined]
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s %s", self.address_string(), format % args)
 
 
 class _BoundServer(ThreadingHTTPServer):

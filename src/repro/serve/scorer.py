@@ -33,7 +33,8 @@ any job count returns the same verdict lists in the same order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -534,22 +535,25 @@ class _ReplayTask:
     one scorer across a chunk only accumulates more per-drive state —
     verdicts are per-drive independent, so it never changes any output.
 
-    The scorer binds :func:`~repro.parallel.get_worker_observer` at
-    build time and rebuilds when the observer changes, so on the thread
-    backend (where one task object outlives a chunk) telemetry always
-    lands in the *current* chunk's capture registry.
+    On the thread backend one task object serves every worker thread,
+    and a scorer is not thread-safe, so scorers are cached per thread.
+    Each binds :func:`~repro.parallel.get_worker_observer` at build time
+    and is rebuilt when the observer changes, so telemetry always lands
+    in the *current* chunk's capture registry.
     """
 
     payload: dict
-    _scorer: StreamScorer | None = None
+    _scorers: dict[int, StreamScorer] = field(default_factory=dict,
+                                              repr=False, compare=False)
 
     def __call__(self, profile: HealthProfile) -> list[MonitorVerdict]:
         observer = get_worker_observer()
-        scorer = self._scorer
+        thread = threading.get_ident()
+        scorer = self._scorers.get(thread)
         if scorer is None or scorer._observer is not observer:
             scorer = StreamScorer(ModelBundle.from_payload(self.payload),
                                   observer=observer)
-            self._scorer = scorer
+            self._scorers[thread] = scorer
         return scorer.replay_profile(profile)
 
 

@@ -1,5 +1,7 @@
 """Tests for the streaming scorer — the byte-identity golden contract."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,30 @@ def test_parallel_replay_is_byte_identical(loaded_bundle, stream_profiles,
     parallel = replay_fleet(loaded_bundle, stream_profiles,
                             n_jobs=n_jobs, backend=backend)
     assert [_lines(v) for v in serial] == [_lines(v) for v in parallel]
+
+
+@pytest.mark.parametrize("with_observer", [False, True])
+def test_thread_replay_stress_is_byte_identical(loaded_bundle, mid_fleet,
+                                                with_observer):
+    """Many small chunks on 4 threads, repeated: no scorer is shared.
+
+    Without an observer every chunk sees the same null observer, the
+    case where worker threads once raced on one cached scorer.  A tiny
+    switch interval makes the interpreter interleave threads often.
+    """
+    dataset = mid_fleet.dataset
+    profiles = dataset.failed_profiles[:8] + dataset.good_profiles[:24]
+    serial = [_lines(v) for v in replay_fleet(loaded_bundle, profiles)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            observer = TelemetryObserver() if with_observer else None
+            threaded = replay_fleet(loaded_bundle, profiles, n_jobs=4,
+                                    backend="thread", observer=observer)
+            assert [_lines(v) for v in threaded] == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_replay_fleet_preserves_input_order(loaded_bundle, stream_profiles):
