@@ -1,19 +1,13 @@
 """Struct-of-arrays drive state and block verdicts for the hot path.
 
-The streaming monitor's original :class:`~repro.core.monitor.DriveStateStore`
-keeps one Python deque of per-record numpy arrays per drive — clear, but
-every observed sample allocates an array object and every batch walks a
-Python loop.  At fleet scale (ROADMAP item 2: millions of drives, hourly
-ticks) the per-drive objects *are* the cost.
-
-This module is the columnar replacement:
-
-* :class:`ColumnStateStore` — one preallocated 3-D ring buffer for the
-  whole store (``drives x history_hours x attributes``) plus flat
-  per-row cursor/count/level/last-hour arrays and a serial→row map.
-  Rows are recycled when drives are evicted and the arrays grow by
-  doubling, so a churning million-drive fleet has bounded memory and no
-  per-drive allocation on the healthy path.
+* :class:`ColumnStateStore` — the per-drive serving state: a
+  serial→row map plus two flat columns, the last severity code and the
+  last-seen hour of each drive.  That is everything a future verdict
+  or operator reads: the paper's regression tree stages each record on
+  its own, so no record history is kept.  Rows are recycled when
+  drives are evicted and the columns grow by doubling, so a churning
+  million-drive fleet has bounded memory and no per-drive allocation
+  on the healthy path.
 * :class:`AlertBlock` — the struct-of-arrays result of scoring one tick
   of samples: per-type stage and remaining-hour matrices, likely-type
   indices and level codes.  Materializing
@@ -22,11 +16,9 @@ This module is the columnar replacement:
   that only need counts (or only the rare alerting rows) never pay for
   per-sample Python objects.
 
-Both classes are byte-identity preserving: a
-:class:`~repro.core.monitor.DegradationMonitor` running on a
-:class:`ColumnStateStore` emits exactly the verdicts the deque-backed
-store produced, and ``AlertBlock.alerts()`` equals the scalar
-``observe`` loop bit for bit (pinned by ``tests/test_core_columnar.py``).
+``AlertBlock.alerts()`` equals the scalar ``observe`` loop bit for bit,
+and ``record_block`` leaves the store exactly as a sequential
+``record`` loop would (pinned by ``tests/test_core_columnar.py``).
 """
 
 from __future__ import annotations
@@ -43,64 +35,47 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: Rows allocated on a store's first write; growth doubles from here.
 DEFAULT_INITIAL_ROWS = 256
 
+#: Last-seen hour of a row that has never recorded an hour.
+_NEVER = np.iinfo(np.int64).min
+
 
 class ColumnStateStore:
     """Keyed per-drive monitoring state in struct-of-arrays layout.
 
-    A drop-in replacement for
-    :class:`~repro.core.monitor.DriveStateStore`: the scalar surface
-    (``record`` / ``level_of`` / ``drives_at`` / ``serials`` /
-    ``history_of`` / ``snapshot``) matches exactly, so the monitor's
-    per-sample path runs unchanged on either store.  On top of it sits
-    the columnar surface the batched kernel uses:
-    :meth:`record_block` updates every ring touched by a tick with
-    fancy-indexed writes, and :meth:`evict_idle` recycles the rows of
-    drives not seen since a cutoff hour.
+    The scalar surface (``record`` / ``level_of`` / ``drives_at`` /
+    ``serials`` / ``snapshot``) serves the monitor's per-sample path;
+    :meth:`record_block` applies a whole tick at once, and
+    :meth:`evict_idle` recycles the rows of drives not seen since a
+    cutoff hour.
 
     Layout
     ------
-    ``rings`` is one ``(capacity, history_hours, n_attributes)`` float64
-    array; row ``r`` is drive ``r``'s ring buffer, written circularly at
-    cursor ``pos[r]``.  ``counts[r]`` is how many records the ring
-    retains, ``levels[r]`` the last severity code, ``last_hours[r]`` the
-    maximum hour observed (the eviction clock).  ``serial -> row`` lives
-    in one dict; evicted rows go to a free list and are handed to new
-    drives before the arrays grow (by doubling).
+    ``levels[r]`` is drive ``r``'s last severity code and
+    ``last_hours[r]`` the maximum hour it reported (the eviction
+    clock).  ``serial -> row`` lives in one dict; evicted rows go to a
+    free list and are handed to new drives before the columns grow (by
+    doubling).
 
     The store is a passive container — it never computes a verdict — so
     any partitioning of drives across stores leaves every verdict
     byte-identical to a single-store run.
     """
 
-    def __init__(self, history_hours: int, *,
-                 initial_rows: int = DEFAULT_INITIAL_ROWS) -> None:
-        if history_hours < 1:
-            raise ReproError("history_hours must be positive")
+    def __init__(self, *, initial_rows: int = DEFAULT_INITIAL_ROWS) -> None:
         if initial_rows < 1:
             raise ReproError("initial_rows must be positive")
-        self._history_hours = int(history_hours)
         self._initial_rows = int(initial_rows)
-        self._n_attributes: int | None = None
-        self._rings: np.ndarray | None = None
-        self._pos: np.ndarray | None = None
-        self._counts: np.ndarray | None = None
-        self._levels: np.ndarray | None = None
-        self._last_hours: np.ndarray | None = None
+        self._levels = np.zeros(0, dtype=np.int8)
+        self._last_hours = np.zeros(0, dtype=np.int64)
         self._rows: dict[str, int] = {}
-        self._row_serials: list[str | None] = []
         self._free: list[int] = []
         self._drives_evicted = 0
 
-    # -- scalar surface (DriveStateStore-compatible) ----------------------
-
-    @property
-    def history_hours(self) -> int:
-        """Ring-buffer capacity retained per drive."""
-        return self._history_hours
+    # -- scalar surface ---------------------------------------------------
 
     @property
     def n_tracked(self) -> int:
-        """Drives with live ring-buffer state (O(1))."""
+        """Drives with live state (O(1))."""
         return len(self._rows)
 
     @property
@@ -110,23 +85,17 @@ class ColumnStateStore:
 
     @property
     def capacity(self) -> int:
-        """Allocated ring rows (grows by doubling, never shrinks)."""
-        return len(self._row_serials)
+        """Allocated rows (grows by doubling, never shrinks)."""
+        return self._levels.shape[0]
 
-    def record(self, serial: str, normalized: np.ndarray,
-               level: "AlertLevel", hour: int | None = None) -> None:
-        """Append one normalized record and set the drive's level."""
-        normalized = np.asarray(normalized, dtype=np.float64).ravel()
-        self._ensure_layout(normalized.shape[0])
-        row = self._row_for(serial, normalized.shape[0])
-        assert (self._rings is not None and self._pos is not None
-                and self._counts is not None and self._levels is not None
-                and self._last_hours is not None)
-        position = self._pos[row]
-        self._rings[row, position] = normalized
-        self._pos[row] = (position + 1) % self._history_hours
-        if self._counts[row] < self._history_hours:
-            self._counts[row] += 1
+    def record(self, serial: str, level: "AlertLevel",
+               hour: int | None = None) -> None:
+        """Set one drive's level and advance its last-seen hour.
+
+        ``hour`` feeds the idle-eviction clock; omitting it leaves the
+        drive's last-seen hour unchanged.
+        """
+        row = self._row_for(serial)
         self._levels[row] = level.value
         if hour is not None and hour > self._last_hours[row]:
             self._last_hours[row] = hour
@@ -137,346 +106,191 @@ class ColumnStateStore:
         row = self._rows.get(serial)
         if row is None:
             return AlertLevel.HEALTHY
-        assert self._levels is not None
         return AlertLevel(int(self._levels[row]))
 
     def drives_at(self, level: "AlertLevel") -> list[str]:
         """Serials currently at exactly ``level``."""
-        assert self._levels is not None or not self._rows
         return sorted(serial for serial, row in self._rows.items()
-                      if int(self._levels[row]) == level.value)
+                      if self._levels[row] == level.value)
 
     def serials(self) -> list[str]:
         """All tracked serials, sorted."""
         return sorted(self._rows)
 
-    def history_of(self, serial: str) -> np.ndarray:
-        """Rolling window of normalized records for one drive.
-
-        Rows come back oldest-first, exactly as the deque-backed store
-        stacked them; the returned array is a fresh copy.
-        """
-        row = self._rows.get(serial)
-        if row is None:
-            raise ReproError(f"no observations for drive {serial!r}")
-        assert (self._rings is not None and self._pos is not None
-                and self._counts is not None)
-        count = int(self._counts[row])
-        position = int(self._pos[row])
-        if count < self._history_hours:
-            return self._rings[row, :count].copy()
-        return np.concatenate([self._rings[row, position:],
-                               self._rings[row, :position]])
-
     def snapshot(self) -> dict:
         """JSON-clean summary of every tracked drive, sorted by serial.
 
-        Field-compatible with the deque-backed store's snapshot, plus
-        the store's ``drives_evicted`` counter.
+        The drain/shutdown artifact: per drive, the last severity level,
+        plus the store's ``drives_evicted`` counter.  Deterministic for
+        a given state, so snapshots diff cleanly across runs.
         """
         from repro.core.monitor import AlertLevel
-        drives = {}
-        for serial in sorted(self._rows):
-            row = self._rows[serial]
-            assert self._levels is not None and self._counts is not None
-            drives[serial] = {
-                "level": AlertLevel(int(self._levels[row])).name,
-                "retained": int(self._counts[row]),
-            }
         return {
-            "history_hours": self._history_hours,
             "n_tracked": self.n_tracked,
             "drives_evicted": self._drives_evicted,
-            "drives": drives,
+            "drives": {
+                serial: {"level": AlertLevel(int(self._levels[row])).name}
+                for serial, row in sorted(self._rows.items())
+            },
         }
 
     def dump_state(self) -> dict:
         """Full, JSON-clean state for crash recovery (exact round-trip).
 
         Everything :meth:`restore` needs to rebuild an *operationally
-        identical* store: layout, the serial→row map, the free-list
-        order, eviction counter, and per live drive its retained
-        window (oldest-first), level code and last-seen hour.  Floats
-        go through ``tolist()`` → ``repr``, which round-trips float64
-        exactly — unlike the canonical JSON helpers, which round.
-
-        Ring slots beyond a drive's retained count are scratch (never
-        read), so the dump stores the *window*, not raw ring rows, and
-        the cursor is normalized on restore: dumps of a store and of
-        its restored twin are identical, as is every subsequent verdict
-        and state transition.
+        identical* store: the serial→row map, the free-list order, the
+        eviction counter, and per live drive its level code and
+        last-seen hour.  Dumps of a store and of its restored twin are
+        identical, as is every subsequent verdict and state transition.
         """
-        drives = {}
-        for serial in sorted(self._rows):
-            row = self._rows[serial]
-            assert (self._levels is not None and self._counts is not None
-                    and self._last_hours is not None)
-            drives[serial] = {
-                "row": row,
-                "level": int(self._levels[row]),
-                "last_hour": int(self._last_hours[row]),
-                "window": self.history_of(serial).tolist(),
-            }
         return {
             "schema": 1,
             "kind": "columnar",
-            "history_hours": self._history_hours,
             "initial_rows": self._initial_rows,
-            "n_attributes": self._n_attributes,
             "capacity": self.capacity,
             "drives_evicted": self._drives_evicted,
             "free": list(self._free),
-            "drives": drives,
+            "drives": {
+                serial: {
+                    "row": row,
+                    "level": int(self._levels[row]),
+                    "last_hour": int(self._last_hours[row]),
+                }
+                for serial, row in sorted(self._rows.items())
+            },
         }
 
     def restore(self, payload: dict) -> None:
         """Rebuild this store in place from a :meth:`dump_state` payload.
 
         Discards all current state.  Restores the exact serial→row
-        mapping, free-list order and eviction counter, and rewrites
-        each drive's window at a normalized cursor position — the
-        restored store is indistinguishable from the dumped one through
-        every public method, including duplicate-serial
-        :meth:`record_block` behavior and future :meth:`evict_idle` /
-        row-recycling decisions.
+        mapping, free-list order and eviction counter, so the restored
+        store is indistinguishable from the dumped one through every
+        public method, including future :meth:`evict_idle` and
+        row-recycling decisions.  Only ``row`` / ``level`` /
+        ``last_hour`` per drive and ``capacity`` / ``free`` are read;
+        other fields (such as the per-drive ``window`` record history of
+        older dumps) are ignored.
         """
         try:
             if payload.get("kind") != "columnar":
                 raise ReproError(
                     f"cannot restore a ColumnStateStore from a "
                     f"{payload.get('kind')!r} state dump")
-            if int(payload["history_hours"]) != self._history_hours:
-                raise ReproError(
-                    f"state dump retains {payload['history_hours']} hours, "
-                    f"store was built for {self._history_hours}")
             capacity = int(payload["capacity"])
-            n_attributes = payload["n_attributes"]
             free = [int(row) for row in payload["free"]]
-            drives = payload["drives"]
-        except (KeyError, TypeError, ValueError) as error:
+            drives = {serial: (int(entry["row"]), int(entry["level"]),
+                               int(entry["last_hour"]))
+                      for serial, entry in payload["drives"].items()}
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise ReproError(
                 f"malformed state dump for ColumnStateStore: {error}"
             ) from error
         self._initial_rows = int(payload.get("initial_rows",
                                              self._initial_rows))
         self._drives_evicted = int(payload.get("drives_evicted", 0))
+        self._levels = np.zeros(capacity, dtype=np.int8)
+        self._last_hours = np.full(capacity, _NEVER, dtype=np.int64)
         self._rows = {}
         self._free = free
-        self._n_attributes = None
-        self._rings = self._pos = self._counts = None
-        self._levels = self._last_hours = None
-        self._row_serials = []
-        if n_attributes is None:
-            return
-        self._n_attributes = int(n_attributes)
-        history = self._history_hours
-        self._rings = np.zeros((capacity, history, self._n_attributes),
-                               dtype=np.float64)
-        self._pos = np.zeros(capacity, dtype=np.int64)
-        self._counts = np.zeros(capacity, dtype=np.int64)
-        self._levels = np.zeros(capacity, dtype=np.int8)
-        self._last_hours = np.full(capacity, np.iinfo(np.int64).min,
-                                   dtype=np.int64)
-        self._row_serials = [None] * capacity
-        for serial, entry in drives.items():
-            row = int(entry["row"])
-            window = np.asarray(entry["window"], dtype=np.float64)
-            count = window.shape[0]
-            if not 0 <= row < capacity or count > history:
+        for serial, (row, level, last_hour) in drives.items():
+            if not 0 <= row < capacity:
                 raise ReproError(
-                    f"state dump drive {serial!r} has row {row} / "
-                    f"window {count} outside the dumped layout")
+                    f"state dump drive {serial!r} has row {row} outside "
+                    f"the dumped layout")
             self._rows[serial] = row
-            self._row_serials[row] = serial
-            if count:
-                self._rings[row, :count] = window
-            self._counts[row] = count
-            self._pos[row] = count % history
-            self._levels[row] = int(entry["level"])
-            self._last_hours[row] = int(entry["last_hour"])
+            self._levels[row] = level
+            self._last_hours[row] = last_hour
 
     @classmethod
     def from_snapshot(cls, payload: dict, *,
                       initial_rows: int = DEFAULT_INITIAL_ROWS,
                       ) -> "ColumnStateStore":
         """Build a fresh store from a :meth:`dump_state` payload."""
-        try:
-            history_hours = int(payload["history_hours"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise ReproError(
-                f"malformed state dump for ColumnStateStore: {error}"
-            ) from error
-        store = cls(history_hours, initial_rows=initial_rows)
+        store = cls(initial_rows=initial_rows)
         store.restore(payload)
         return store
 
     # -- columnar surface -------------------------------------------------
 
-    def record_block(self, serials: Sequence[str], normalized: np.ndarray,
-                     level_codes: np.ndarray,
+    def record_block(self, serials: Sequence[str], level_codes: np.ndarray,
                      hours: np.ndarray | Sequence[int]) -> None:
-        """Apply one tick of records to every touched ring at once.
+        """Apply one tick of verdicts to every touched drive at once.
 
-        Row ``i`` of ``normalized`` is appended to ``serials[i]``'s ring
-        and that drive's level/last-hour state updated — semantically
-        identical to calling :meth:`record` once per row, in order,
-        including when a serial repeats within the block (later rows
-        overwrite earlier ring slots exactly as sequential appends
-        would).  The healthy fast path allocates nothing per drive: one
-        row-index gather, one fancy-indexed ring write, flat cursor
-        arithmetic.
+        Semantically identical to calling :meth:`record` once per row,
+        in order: when a serial repeats within the block its last row's
+        level wins and its last-seen hour becomes the maximum.
         """
-        normalized = np.asarray(normalized, dtype=np.float64)
-        n = normalized.shape[0]
+        n = len(serials)
         if n == 0:
             return
-        rows = self._rows_for_block(serials, normalized.shape[1])
-        assert (self._rings is not None and self._pos is not None
-                and self._counts is not None and self._levels is not None
-                and self._last_hours is not None)
-        hours = np.asarray(hours, dtype=np.int64)
-        level_codes = np.asarray(level_codes)
-        history = self._history_hours
-
-        # Occurrence index of each row within the block (stable order):
-        # the k-th sample of a drive lands k slots past its cursor.
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        starts[1:] = sorted_rows[1:] != sorted_rows[:-1]
-        group_start = np.maximum.accumulate(
-            np.where(starts, np.arange(n), 0))
-        occurrence = np.empty(n, dtype=np.int64)
-        occurrence[order] = np.arange(n) - group_start
-
-        group_ends = np.flatnonzero(
-            np.concatenate([starts[1:], np.ones(1, dtype=bool)]))
-        last_of_group = order[group_ends]          # last sample per drive
-        unique_rows = sorted_rows[group_ends]
-        per_row_total = occurrence[last_of_group] + 1
-
-        # Only the last ``history`` occurrences per drive survive a
-        # sequential append loop; dropping the overwritten ones keeps
-        # every (row, slot) write target unique, so the fancy write is
-        # order-independent.
-        slots = (self._pos[rows] + occurrence) % history
-        keep = occurrence >= (per_row_total[
-            np.searchsorted(unique_rows, rows)] - history)
-        self._rings[rows[keep], slots[keep]] = normalized[keep]
-
-        self._pos[unique_rows] = (
-            self._pos[unique_rows] + per_row_total) % history
-        self._counts[unique_rows] = np.minimum(
-            self._counts[unique_rows] + per_row_total, history)
-        self._levels[unique_rows] = level_codes[last_of_group]
-        np.maximum.at(self._last_hours, rows, hours)
+        rows = self._rows_for_block(serials)
+        # First occurrence in the reversed block = last in the block.
+        touched, from_end = np.unique(rows[::-1], return_index=True)
+        self._levels[touched] = np.asarray(level_codes)[n - 1 - from_end]
+        np.maximum.at(self._last_hours, rows,
+                      np.asarray(hours, dtype=np.int64))
 
     def evict_idle(self, before_hour: int) -> int:
         """Recycle every drive last observed strictly before ``before_hour``.
 
         Evicted drives vanish from the tracked set (``level_of`` returns
-        HEALTHY again, ``history_of`` raises) and their rows go to the
-        free list for the next new serial — columnar row recycling makes
-        a churning fleet's memory proportional to the *live* drive
-        count, not the all-time serial count.  Returns how many drives
-        were evicted; the running total is :attr:`drives_evicted`.
+        HEALTHY again) and their rows go to the free list for the next
+        new serial — row recycling makes a churning fleet's memory
+        proportional to the *live* drive count, not the all-time serial
+        count.  Returns how many drives were evicted; the running total
+        is :attr:`drives_evicted`.
         """
-        if not self._rows:
-            return 0
-        assert self._last_hours is not None and self._counts is not None
         evicted = [serial for serial, row in self._rows.items()
                    if self._last_hours[row] < before_hour]
         for serial in evicted:
             row = self._rows.pop(serial)
-            self._row_serials[row] = None
-            self._counts[row] = 0
-            assert self._pos is not None and self._levels is not None
-            self._pos[row] = 0
             self._levels[row] = 0
-            self._last_hours[row] = np.iinfo(np.int64).min
+            self._last_hours[row] = _NEVER
             self._free.append(row)
         self._drives_evicted += len(evicted)
         return len(evicted)
 
     def rows_of(self, serials: Sequence[str]) -> np.ndarray:
-        """Ring-row indices for ``serials`` (rows are assigned on demand).
+        """Row indices for ``serials`` (rows are assigned on demand).
 
         Exposed for tests and diagnostics; :meth:`record_block` resolves
         rows internally.
         """
-        if self._n_attributes is None:
-            raise ReproError("store has no recorded attributes yet")
-        return self._rows_for_block(serials, self._n_attributes)
+        return self._rows_for_block(serials)
 
     # -- internals --------------------------------------------------------
 
-    def _ensure_layout(self, n_attributes: int) -> None:
-        """Allocate (or validate) the column arrays for a record width."""
-        if self._n_attributes is None:
-            self._n_attributes = int(n_attributes)
-            capacity = self._initial_rows
-            self._rings = np.zeros(
-                (capacity, self._history_hours, n_attributes),
-                dtype=np.float64)
-            self._pos = np.zeros(capacity, dtype=np.int64)
-            self._counts = np.zeros(capacity, dtype=np.int64)
-            self._levels = np.zeros(capacity, dtype=np.int8)
-            self._last_hours = np.full(capacity, np.iinfo(np.int64).min,
-                                       dtype=np.int64)
-            self._row_serials = [None] * capacity
-            self._free = list(range(capacity - 1, -1, -1))
-            return
-        if n_attributes != self._n_attributes:
-            raise ReproError(
-                f"record has {n_attributes} attributes, store was laid "
-                f"out for {self._n_attributes}")
-
     def _grow(self) -> None:
-        """Double every column array, pushing new rows onto the free list."""
-        assert (self._rings is not None and self._pos is not None
-                and self._counts is not None and self._levels is not None
-                and self._last_hours is not None)
-        old = len(self._row_serials)
-        new = old * 2
-        rings = np.zeros((new,) + self._rings.shape[1:], dtype=np.float64)
-        rings[:old] = self._rings
-        self._rings = rings
-        self._pos = np.concatenate(
-            [self._pos, np.zeros(old, dtype=np.int64)])
-        self._counts = np.concatenate(
-            [self._counts, np.zeros(old, dtype=np.int64)])
+        """Double both columns (first write: allocate ``initial_rows``),
+        pushing the new rows onto the free list."""
+        old = self.capacity
+        new = max(2 * old, self._initial_rows)
         self._levels = np.concatenate(
-            [self._levels, np.zeros(old, dtype=np.int8)])
+            [self._levels, np.zeros(new - old, dtype=np.int8)])
         self._last_hours = np.concatenate(
-            [self._last_hours,
-             np.full(old, np.iinfo(np.int64).min, dtype=np.int64)])
-        self._row_serials.extend([None] * old)
+            [self._last_hours, np.full(new - old, _NEVER, dtype=np.int64)])
         self._free.extend(range(new - 1, old - 1, -1))
 
-    def _row_for(self, serial: str, n_attributes: int) -> int:
-        """The (possibly new) ring row owning ``serial``."""
+    def _row_for(self, serial: str) -> int:
+        """The (possibly new) row owning ``serial``."""
         row = self._rows.get(serial)
         if row is not None:
             return row
-        self._ensure_layout(n_attributes)
         if not self._free:
             self._grow()
         row = self._free.pop()
         self._rows[serial] = row
-        self._row_serials[row] = serial
         return row
 
-    def _rows_for_block(self, serials: Sequence[str],
-                        n_attributes: int) -> np.ndarray:
+    def _rows_for_block(self, serials: Sequence[str]) -> np.ndarray:
         """Row index per sample, assigning rows to unseen serials."""
-        self._ensure_layout(n_attributes)
         rows = np.empty(len(serials), dtype=np.int64)
         lookup = self._rows
         for index, serial in enumerate(serials):
             row = lookup.get(serial)
             if row is None:
-                row = self._row_for(serial, n_attributes)
+                row = self._row_for(serial)
             rows[index] = row
         return rows
 

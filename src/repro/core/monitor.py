@@ -4,9 +4,11 @@ Section VI's future work plans "a middleware software that will enhance
 storage reliability" on top of the degradation signatures.  This module
 is that middleware in library form: a :class:`DegradationMonitor` wraps
 the trained per-group regression trees and consumes hourly SMART records
-drive by drive, maintaining a rolling window per drive and emitting
+drive by drive, keeping each drive's last severity level and emitting
 :class:`DegradationAlert` events when a drive's estimated degradation
-stage crosses the configured thresholds.
+stage crosses the configured thresholds.  Like the paper's regression
+tree, a verdict is a function of the current record alone, so the
+monitor keeps no record history.
 
 The monitor classifies each alerting drive into its most likely failure
 type by scoring the current record with every group's tree and taking
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ from repro.smart.normalization import MinMaxNormalizer
 #: configuration exactly.
 DEFAULT_WATCH_THRESHOLD = -0.05
 DEFAULT_CRITICAL_THRESHOLD = -0.5
-DEFAULT_HISTORY_HOURS = 48
 
 
 @functools.total_ordering
@@ -70,196 +70,6 @@ class DegradationAlert:
         return self.estimates[self.likely_type].hours_remaining
 
 
-class DriveStateStore:
-    """Keyed per-drive monitoring state: ring buffers plus last levels.
-
-    All mutable state a streaming scorer accumulates lives here, keyed
-    by drive serial: a bounded deque of the drive's last
-    ``history_hours`` normalized records and the drive's most recent
-    :class:`AlertLevel`.  Extracting it from the monitor makes the
-    state an explicit, snapshottable object — the sharding seam the
-    serving daemon partitions across worker processes (each shard owns
-    one store, and a drive's serial hashes to exactly one shard, so no
-    state is ever split or shared).
-
-    The store is a passive container: it never computes a verdict, so
-    any partitioning of drives across stores leaves every verdict
-    byte-identical to a single-store run.
-    """
-
-    def __init__(self, history_hours: int = DEFAULT_HISTORY_HOURS) -> None:
-        if history_hours < 1:
-            raise ReproError("history_hours must be positive")
-        self._history_hours = history_hours
-        self._history: dict[str, deque[np.ndarray]] = {}
-        self._levels: dict[str, AlertLevel] = {}
-        self._last_hours: dict[str, int] = {}
-        self._drives_evicted = 0
-
-    @property
-    def history_hours(self) -> int:
-        """Ring-buffer capacity retained per drive."""
-        return self._history_hours
-
-    @property
-    def n_tracked(self) -> int:
-        """Drives with live ring-buffer state (O(1))."""
-        return len(self._history)
-
-    @property
-    def drives_evicted(self) -> int:
-        """Total drives dropped by :meth:`evict_idle` since creation."""
-        return self._drives_evicted
-
-    def record(self, serial: str, normalized: np.ndarray,
-               level: AlertLevel, hour: int | None = None) -> None:
-        """Append one normalized record and set the drive's level.
-
-        ``hour`` feeds the idle-eviction clock; omitting it leaves the
-        drive's last-seen hour unchanged (such drives only age out
-        relative to hours they did report).
-        """
-        history = self._history.setdefault(
-            serial, deque(maxlen=self._history_hours)
-        )
-        history.append(normalized)
-        self._levels[serial] = level
-        if hour is not None and hour > self._last_hours.get(
-                serial, -(2 ** 63)):
-            self._last_hours[serial] = hour
-
-    def evict_idle(self, before_hour: int) -> int:
-        """Drop every drive last observed strictly before ``before_hour``.
-
-        The deque-backed twin of
-        :meth:`repro.core.columnar.ColumnStateStore.evict_idle`, kept
-        semantically identical so the scalar and columnar paths stay
-        interchangeable: evicted drives vanish from the tracked set and
-        a reappearing serial starts from a fresh, empty ring.
-        """
-        evicted = [serial for serial in self._history
-                   if self._last_hours.get(serial, -(2 ** 63)) < before_hour]
-        for serial in evicted:
-            del self._history[serial]
-            self._levels.pop(serial, None)
-            self._last_hours.pop(serial, None)
-        self._drives_evicted += len(evicted)
-        return len(evicted)
-
-    def level_of(self, serial: str) -> AlertLevel:
-        """Last recorded level for a drive (HEALTHY if never seen)."""
-        return self._levels.get(serial, AlertLevel.HEALTHY)
-
-    def drives_at(self, level: AlertLevel) -> list[str]:
-        """Serials currently at exactly ``level``."""
-        return sorted(s for s, l in self._levels.items() if l is level)
-
-    def serials(self) -> list[str]:
-        """All tracked serials, sorted."""
-        return sorted(self._history)
-
-    def history_of(self, serial: str) -> np.ndarray:
-        """Rolling window of normalized records for one drive."""
-        history = self._history.get(serial)
-        if not history:
-            raise ReproError(f"no observations for drive {serial!r}")
-        return np.vstack(list(history))
-
-    def snapshot(self) -> dict:
-        """JSON-clean summary of every tracked drive, sorted by serial.
-
-        The drain/shutdown artifact: per drive, the last severity level
-        and how many records the ring currently retains.  Deterministic
-        for a given state, so snapshots diff cleanly across runs.
-        """
-        return {
-            "history_hours": self._history_hours,
-            "n_tracked": self.n_tracked,
-            "drives_evicted": self._drives_evicted,
-            "drives": {
-                serial: {
-                    "level": self._levels[serial].name,
-                    "retained": len(history),
-                }
-                for serial, history in sorted(self._history.items())
-            },
-        }
-
-    def dump_state(self) -> dict:
-        """Full, JSON-clean state for crash recovery (exact round-trip).
-
-        The deque-backed twin of
-        :meth:`repro.core.columnar.ColumnStateStore.dump_state`: per
-        drive the retained window (oldest-first), level code and
-        last-seen hour, plus the eviction counter.  Floats round-trip
-        float64 exactly via ``tolist()``.
-        """
-        sentinel = -(2 ** 63)
-        return {
-            "schema": 1,
-            "kind": "deque",
-            "history_hours": self._history_hours,
-            "drives_evicted": self._drives_evicted,
-            "drives": {
-                serial: {
-                    "level": self._levels[serial].value,
-                    "last_hour": self._last_hours.get(serial, sentinel),
-                    "window": [record.tolist() for record in history],
-                }
-                for serial, history in sorted(self._history.items())
-            },
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Rebuild this store in place from a :meth:`dump_state` payload.
-
-        Discards all current state; the restored store behaves
-        identically to the dumped one through every public method.
-        """
-        try:
-            if payload.get("kind") != "deque":
-                raise ReproError(
-                    f"cannot restore a DriveStateStore from a "
-                    f"{payload.get('kind')!r} state dump")
-            if int(payload["history_hours"]) != self._history_hours:
-                raise ReproError(
-                    f"state dump retains {payload['history_hours']} hours, "
-                    f"store was built for {self._history_hours}")
-            drives = payload["drives"]
-        except (KeyError, TypeError, ValueError) as error:
-            raise ReproError(
-                f"malformed state dump for DriveStateStore: {error}"
-            ) from error
-        sentinel = -(2 ** 63)
-        self._history = {}
-        self._levels = {}
-        self._last_hours = {}
-        self._drives_evicted = int(payload.get("drives_evicted", 0))
-        for serial, entry in drives.items():
-            window = deque(
-                (np.asarray(record, dtype=np.float64)
-                 for record in entry["window"]),
-                maxlen=self._history_hours)
-            self._history[serial] = window
-            self._levels[serial] = AlertLevel(int(entry["level"]))
-            last_hour = int(entry["last_hour"])
-            if last_hour != sentinel:
-                self._last_hours[serial] = last_hour
-
-    @classmethod
-    def from_snapshot(cls, payload: dict) -> "DriveStateStore":
-        """Build a fresh store from a :meth:`dump_state` payload."""
-        try:
-            history_hours = int(payload["history_hours"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise ReproError(
-                f"malformed state dump for DriveStateStore: {error}"
-            ) from error
-        store = cls(history_hours)
-        store.restore(payload)
-        return store
-
-
 class DegradationMonitor:
     """Streaming degradation scorer over trained group predictors.
 
@@ -274,24 +84,19 @@ class DegradationMonitor:
         feature space they were trained on.
     watch_threshold / critical_threshold:
         Stage levels (in ``[-1, 1]``) triggering WATCH and CRITICAL.
-    history_hours:
-        Rolling window retained per drive (available to callers for
-        trend inspection; the trees themselves act on single records).
     state:
-        Optional externally-owned state store — the deque-backed
-        :class:`DriveStateStore` or the struct-of-arrays
-        :class:`~repro.core.columnar.ColumnStateStore`; when given its
-        ``history_hours`` must match.  The serving layer passes its own
-        store so per-drive state can be snapshotted and sharded; by
-        default the monitor creates a private deque-backed one.
+        Optional externally-owned
+        :class:`~repro.core.columnar.ColumnStateStore`.  The serving
+        layer passes its own store so per-drive state can be
+        snapshotted and sharded, and survives a model swap; by default
+        the monitor creates a private one.
     """
 
     def __init__(self, predictor: DegradationPredictor,
                  normalizer: MinMaxNormalizer, *,
                  watch_threshold: float = DEFAULT_WATCH_THRESHOLD,
                  critical_threshold: float = DEFAULT_CRITICAL_THRESHOLD,
-                 history_hours: int = DEFAULT_HISTORY_HOURS,
-                 state: DriveStateStore | ColumnStateStore | None = None,
+                 state: ColumnStateStore | None = None,
                  ) -> None:
         missing = [t for t in FailureType if t not in predictor.trees_]
         if missing:
@@ -305,20 +110,11 @@ class DegradationMonitor:
             raise ReproError(
                 "critical_threshold must sit below watch_threshold"
             )
-        if history_hours < 1:
-            raise ReproError("history_hours must be positive")
-        if state is not None and state.history_hours != history_hours:
-            raise ReproError(
-                f"state store retains {state.history_hours} hours but the "
-                f"monitor was configured for {history_hours}"
-            )
         self._predictor = predictor
         self._normalizer = normalizer
         self._watch = watch_threshold
         self._critical = critical_threshold
-        self._history_hours = history_hours
-        self._state = state if state is not None \
-            else DriveStateStore(history_hours)
+        self._state = state if state is not None else ColumnStateStore()
 
     # -- streaming API ----------------------------------------------------
 
@@ -340,7 +136,7 @@ class DegradationMonitor:
                           key=lambda t: estimates[t].stage)
         stage = estimates[likely_type].stage
         level = self._level_for(stage)
-        self._state.record(serial, normalized, level, hour=int(hour))
+        self._state.record(serial, level, hour=int(hour))
         return DegradationAlert(
             serial=serial,
             hour=hour,
@@ -354,8 +150,8 @@ class DegradationMonitor:
         """Ingest a batch of ``(serial, hour, raw_record)`` samples.
 
         Semantically identical to calling :meth:`observe` once per
-        sample, in order — same alerts, same per-drive history and
-        level state — but the normalization and the per-group tree
+        sample, in order — same alerts, same per-drive level and
+        last-seen hour — but the normalization and the per-group tree
         evaluations run once over the whole batch instead of once per
         sample.  Every arithmetic step is element-wise, so the batched
         path produces bit-identical stages (and therefore byte-identical
@@ -400,11 +196,8 @@ class DegradationMonitor:
         evaluations and the severity thresholds each run once over the
         whole batch (the rescue-clock inversion stays scalar, computed
         lazily per materialized alert so its libm rounding is exactly
-        the per-sample path's), and the per-drive
-        ring state updates with one fancy-indexed write when the store
-        is a :class:`~repro.core.columnar.ColumnStateStore` (the scalar
-        per-sample loop remains only for legacy deque-backed stores).
-        Nothing is allocated per healthy drive; the returned
+        the per-sample path's), and the per-drive level and last-seen
+        hour columns update in one ``record_block`` call.  Nothing is allocated per healthy drive; the returned
         :class:`~repro.core.columnar.AlertBlock` materializes
         :class:`DegradationAlert` objects lazily and bit-identically to
         :meth:`observe`.
@@ -440,15 +233,7 @@ class DegradationMonitor:
         level_codes = ((picked <= self._watch).astype(np.int8)
                        + (picked <= self._critical).astype(np.int8))
 
-        if isinstance(self._state, ColumnStateStore):
-            self._state.record_block(serials, normalized, level_codes,
-                                     hours)
-        else:
-            for position, serial in enumerate(serials):
-                self._state.record(
-                    serial, normalized[position],
-                    AlertLevel(int(level_codes[position])),
-                    hour=int(hours[position]))
+        self._state.record_block(serials, level_codes, hours)
         return AlertBlock(serials, hours, stages,
                           likely_indices, level_codes, types)
 
@@ -480,15 +265,10 @@ class DegradationMonitor:
         """Stage at or below which a drive enters CRITICAL."""
         return self._critical
 
-    @property
-    def history_hours(self) -> int:
-        """Ring-buffer capacity retained per drive."""
-        return self._history_hours
-
     # -- fleet state --------------------------------------------------------
 
     @property
-    def state(self) -> DriveStateStore | ColumnStateStore:
+    def state(self) -> ColumnStateStore:
         """The keyed per-drive state store backing this monitor.
 
         Exposed so the serving layer can snapshot or relocate a shard's
@@ -498,7 +278,7 @@ class DegradationMonitor:
 
     @property
     def n_tracked(self) -> int:
-        """Drives with live ring-buffer state (O(1))."""
+        """Drives with live state (O(1))."""
         return self._state.n_tracked
 
     def level_of(self, serial: str) -> AlertLevel:
@@ -508,10 +288,6 @@ class DegradationMonitor:
     def drives_at(self, level: AlertLevel) -> list[str]:
         """Serials currently at exactly ``level``."""
         return self._state.drives_at(level)
-
-    def history_of(self, serial: str) -> np.ndarray:
-        """Rolling window of normalized records for one drive."""
-        return self._state.history_of(serial)
 
     def _level_for(self, stage: float) -> AlertLevel:
         if stage <= self._critical:

@@ -182,7 +182,8 @@ class _TelemetryRequestHandler(BaseHTTPRequestHandler):
             labels={"endpoint": endpoint.lstrip("/") or "other"},
         ).inc()
         if handler is None:
-            self._reply_json(404, {"error": "not found", "path": path})
+            self._reply_json(404, {"error": "not found", "path": path},
+                             extra=_CLOSE)
             return
         raw_length = (self.headers.get("Content-Length", "0") or "0").strip()
         if not (raw_length.isascii() and raw_length.isdigit()):

@@ -20,7 +20,8 @@ milliseconds, and *refused* when stale or corrupt.
   prediction window ``d``);
 * the fitted :class:`~repro.ml.tree.RegressionTree` per failure group
   (exact round trip via ``to_dict``/``from_dict``);
-* the monitor thresholds (WATCH / CRITICAL stages, ring-buffer hours).
+* the monitor thresholds (WATCH / CRITICAL stages) and the inert
+  ``history_hours`` field, kept so content hashes stay stable.
 
 :func:`save_bundle` writes the bundle as a single JSON file carrying a
 schema version and a sha256 content hash; :func:`load_bundle` refuses
@@ -47,7 +48,6 @@ import numpy as np
 from repro.core.categorize import CategorizationResult
 from repro.core.monitor import (
     DEFAULT_CRITICAL_THRESHOLD,
-    DEFAULT_HISTORY_HOURS,
     DEFAULT_WATCH_THRESHOLD,
 )
 from repro.core.prediction import DegradationPredictor
@@ -71,6 +71,11 @@ BUNDLE_SCHEMA_VERSION = 1
 #: Key carrying the sha256 content hash inside the artifact.  The hash
 #: covers the canonical serialization of every *other* key.
 _HASH_KEY = "content_sha256"
+
+#: Default of the ``monitor.history_hours`` field.  No serving state
+#: depends on it; it stays in the payload so every bundle's content
+#: hash (and lineage) is stable.
+DEFAULT_HISTORY_HOURS = 48
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,8 +350,11 @@ def build_bundle(report: CharacterizationReport,
         Overrides the report dataset's scaler (required only when the
         pipeline consumed an already-normalized dataset, which carries
         no scaler).
-    watch_threshold / critical_threshold / history_hours:
+    watch_threshold / critical_threshold:
         Monitor configuration frozen into the artifact.
+    history_hours:
+        Stored in the artifact (and its content hash) but inert: no
+        serving state depends on it.
     seed:
         Seed for the predictor trained here when ``predictor`` is
         ``None`` (default: the predictor's own default).

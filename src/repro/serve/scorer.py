@@ -6,11 +6,12 @@ training-time models, and consumes SMART samples incrementally —
 ``push(serial, hour, record)`` for one sample, ``push_many`` for a
 batch, ``score_block`` for the columnar hot path.  Per-drive state
 lives in a struct-of-arrays
-:class:`~repro.core.columnar.ColumnStateStore` (one preallocated ring
-buffer for the whole scorer — drives x history_hours x attributes —
-with recycled rows and doubling growth), so memory stays
-O(live drives x history_hours) no matter how long the stream runs and
-the healthy path allocates nothing per drive.  ``score_block`` returns
+:class:`~repro.core.columnar.ColumnStateStore` — serial → row, last
+severity level and last-seen hour, with recycled rows and doubling
+growth — so memory stays O(live drives) no matter how long the stream
+runs and the healthy path allocates nothing per drive.  Verdicts are
+functions of the current record alone, so no record history is kept.
+``score_block`` returns
 a :class:`VerdictBlock`: verdict columns, not verdict objects —
 :class:`MonitorVerdict` materialization is deferred to the rare
 alerting rows (or to callers that explicitly ask for all of them).
@@ -41,7 +42,7 @@ import numpy as np
 
 from repro.core.columnar import AlertBlock, ColumnStateStore
 from repro.core.monitor import (AlertLevel, DegradationAlert,
-                                DegradationMonitor, DriveStateStore)
+                                DegradationMonitor)
 from repro.core.serialize import canonical_json_line
 from repro.core.taxonomy import FailureType
 from repro.errors import ServeError
@@ -259,20 +260,11 @@ class StreamScorer:
     """
 
     def __init__(self, bundle: ModelBundle, *,
-                 observer: PipelineObserver | None = None,
-                 state: DriveStateStore | ColumnStateStore | None = None,
-                 ) -> None:
+                 observer: PipelineObserver | None = None) -> None:
         self._bundle = bundle
         self._observer = resolve_observer(observer)
-        self._state = state if state is not None \
-            else ColumnStateStore(bundle.history_hours)
-        self._monitor = DegradationMonitor(
-            bundle.predictor(), bundle.normalizer(),
-            watch_threshold=bundle.watch_threshold,
-            critical_threshold=bundle.critical_threshold,
-            history_hours=bundle.history_hours,
-            state=self._state,
-        )
+        self._state = ColumnStateStore()
+        self._monitor = self._monitor_for(bundle)
         self._samples_scored = 0
         self._alerts_emitted = 0
 
@@ -321,7 +313,7 @@ class StreamScorer:
         """Score a columnar batch as one set of batched array ops.
 
         The streaming hot path: one normalizer pass, one tree
-        evaluation per failure group, one fancy-indexed ring update for
+        evaluation per failure group, one columnar state update for
         every drive in the batch — no per-sample Python objects.  The
         returned :class:`VerdictBlock` carries verdict columns;
         materializing it reproduces :meth:`push` byte for byte (the
@@ -352,8 +344,7 @@ class StreamScorer:
         """Recycle state of drives last observed before ``before_hour``.
 
         Bounds a churning fleet's memory: evicted serials free their
-        ring row (columnar store) or deque (legacy store) and start
-        fresh if they reappear.  Returns the evicted count and bumps
+        state row and start fresh if they reappear.  Returns the evicted count and bumps
         the ``drives_evicted`` counter.
         """
         evicted = self._state.evict_idle(int(before_hour))
@@ -377,7 +368,7 @@ class StreamScorer:
         return self._bundle
 
     @property
-    def state(self) -> DriveStateStore | ColumnStateStore:
+    def state(self) -> ColumnStateStore:
         """The keyed per-drive state store (the sharding seam).
 
         A daemon shard snapshots or relocates a scorer's fleet state
@@ -397,14 +388,14 @@ class StreamScorer:
 
     @property
     def drives_tracked(self) -> int:
-        """Drives with live ring-buffer state."""
+        """Drives with live state."""
         return self._monitor.n_tracked
 
     def dump_state(self) -> dict[str, Any]:
         """Everything crash recovery needs to resume this scorer.
 
         The scorer's counters plus the state store's full
-        ``dump_state()`` payload (exact float64 round-trip).  Feeding
+        ``dump_state()`` payload.  Feeding
         the dump to :meth:`restore_state` on a scorer built from the
         same bundle yields byte-identical future verdicts, counters and
         state snapshots — the WAL layer checkpoints exactly this
@@ -440,14 +431,11 @@ class StreamScorer:
         """Replace the scoring models in place, keeping all drive state.
 
         The promotion plane's seam: verdicts are per-sample stateless
-        functions of the current record (a drive's ring history never
-        feeds the trees), so swapping the models between blocks changes
-        *future* verdicts only — every sample scored after the swap is
-        byte-identical to a fresh scorer of the new bundle fed the same
-        stream.  The replacement must score the same feature space
-        (attribute ordering) and keep the ring-buffer depth, because
-        the live :class:`~repro.core.columnar.ColumnStateStore` is laid
-        out for both.
+        functions of the current record, so swapping the models between
+        blocks changes *future* verdicts only — every sample scored
+        after the swap is byte-identical to a fresh scorer of the new
+        bundle fed the same stream.  The replacement must score the
+        same feature space (attribute ordering).
         """
         if tuple(bundle.attributes) != tuple(self._bundle.attributes):
             raise ServeError(
@@ -455,20 +443,8 @@ class StreamScorer:
                 f"attribute set ({', '.join(bundle.attributes)} vs "
                 f"{', '.join(self._bundle.attributes)})"
             )
-        if bundle.history_hours != self._bundle.history_hours:
-            raise ServeError(
-                f"cannot swap in a bundle with history_hours="
-                f"{bundle.history_hours}; the live drive state is laid "
-                f"out for {self._bundle.history_hours}"
-            )
         self._bundle = bundle
-        self._monitor = DegradationMonitor(
-            bundle.predictor(), bundle.normalizer(),
-            watch_threshold=bundle.watch_threshold,
-            critical_threshold=bundle.critical_threshold,
-            history_hours=bundle.history_hours,
-            state=self._state,
-        )
+        self._monitor = self._monitor_for(bundle)
 
     def level_of(self, serial: str) -> AlertLevel:
         """Last severity level of a drive (HEALTHY if never seen)."""
@@ -479,6 +455,15 @@ class StreamScorer:
         return self._monitor.drives_at(level)
 
     # -- internals --------------------------------------------------------
+
+    def _monitor_for(self, bundle: ModelBundle) -> DegradationMonitor:
+        """A monitor scoring with ``bundle`` over this scorer's state."""
+        return DegradationMonitor(
+            bundle.predictor(), bundle.normalizer(),
+            watch_threshold=bundle.watch_threshold,
+            critical_threshold=bundle.critical_threshold,
+            state=self._state,
+        )
 
     def _check_record(self, serial: str, record: np.ndarray) -> np.ndarray:
         """Validate one raw record against the bundle's feature space."""

@@ -3,10 +3,10 @@
 The serving daemon's horizontal seam: a :class:`ShardSet` owns ``n``
 shard workers, each holding one :class:`~repro.serve.scorer.StreamScorer`
 (and therefore one keyed
-:class:`~repro.core.monitor.DriveStateStore`).  Drives map to shards by
-consistent hash of their serial (:class:`HashRing` — sha256-based, so
-the mapping is stable across processes and Python hash seeds), which
-keeps every drive's ring-buffer history and last level whole inside
+:class:`~repro.core.columnar.ColumnStateStore`).  Drives map to shards
+by consistent hash of their serial (:class:`HashRing` — sha256-based,
+so the mapping is stable across processes and Python hash seeds), which
+keeps every drive's state (last level and last-seen hour) whole inside
 exactly one shard no matter how batches arrive.
 
 Sharding is a pure performance knob: verdicts are per-sample functions
@@ -19,7 +19,11 @@ Backpressure is explicit and all-or-nothing: the parent tracks batches
 in flight per shard, and a batch whose target shard is at capacity is
 rejected with :class:`~repro.errors.BackpressureError` *before any
 sample of it is enqueued* — a rejected batch is never half-scored, so
-retries cannot double-count a drive-hour.
+retries cannot double-count a drive-hour.  Records that no verdict
+could be trusted on — a width other than the bundle's attribute count,
+or a NaN / infinite value — are refused with
+:class:`~repro.errors.ServeError` before routing, so they never reach a
+shard or its WAL.
 
 Crash safety is opt-in via ``wal_dir``: each worker then appends every
 admitted block to its own :class:`~repro.serve.wal.ShardWal` *before*
@@ -647,6 +651,10 @@ class ShardSet:
         mid-batch returns the original verdicts without re-scoring
         (exactly-once application).  Auto-generated when omitted — auto
         ids are unique, so an unnamed batch gets no dedup protection.
+
+        A batch whose records are not ``n_attributes`` wide or carry a
+        non-finite value raises :class:`~repro.errors.ServeError` before
+        any shard or WAL sees it.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
@@ -658,6 +666,17 @@ class ShardSet:
                 f"{len(hours)} hours, {matrix.shape[0]} record rows")
         if matrix.shape[0] == 0:
             return VerdictBlock.empty()
+        width = self._bundle.n_attributes
+        if matrix.shape[1] != width:
+            raise ServeError(
+                f"records have {matrix.shape[1]} values, bundle expects "
+                f"{width} ({', '.join(self._bundle.attributes)})")
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ServeError(
+                f"sample {row} (drive {serials[row]!r}) has a non-finite "
+                f"value; NaN and infinities are refused")
 
         by_shard: dict[int, list[int]] = {}
         for row, serial in enumerate(serials):

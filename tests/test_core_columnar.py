@@ -1,125 +1,102 @@
 """Tests for the struct-of-arrays drive state store and block scoring.
 
-Two contracts are pinned here.  First, :class:`ColumnStateStore` is a
-drop-in for the deque-backed :class:`DriveStateStore`: every scalar
-surface matches, ``record_block`` is semantically identical to a
-sequential ``record`` loop (including duplicate serials within one
-block), rows are recycled on eviction and the arrays grow by doubling.
-Second, the vectorized scoring path is *bit-identical* to the scalar
-one: a monitor on a columnar store emits exactly the alerts the
-per-sample ``observe`` loop produces — for empty blocks, duplicate
-serials in one tick, out-of-order hours, and drives reappearing after
-eviction — and materialized rescue estimates go through the scalar
-libm inversion, never a vectorized ``pow``.
+Three contracts are pinned here.  First, :class:`ColumnStateStore`
+holds only serial → row, last level and last-seen hour: ``record_block``
+leaves it exactly as a sequential ``record`` loop would (including
+duplicate serials within one block), rows are recycled on eviction and
+the columns grow by doubling.  Second, the vectorized scoring path is
+*bit-identical* to the scalar one: a monitor's ``observe_columns``
+emits exactly the alerts the per-sample ``observe`` loop produces — for
+empty blocks, duplicate serials in one tick, out-of-order hours, and
+drives reappearing after eviction — and materialized rescue estimates
+go through the scalar libm inversion, never a vectorized ``pow``.
+Third, state dumps round-trip exactly, and a dump written by the
+earlier ring-buffer store (schema 1, with per-drive ``window`` record
+history) still restores.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.columnar import AlertBlock, ColumnStateStore
-from repro.core.monitor import AlertLevel, DegradationMonitor, DriveStateStore
+from repro.core.monitor import AlertLevel, DegradationMonitor
 from repro.core.prediction import DegradationPredictor
 from repro.core.rescue import rescue_estimate
 from repro.core.taxonomy import FailureType
 from repro.errors import ReproError
 
+#: A schema-1 dump of :func:`_legacy_stream` written by the earlier
+#: ring-buffer store (``history_hours=4``, 3 attributes, 2 initial rows).
+LEGACY_DUMP = Path(__file__).parent / "data" / "legacy_columnar_state.json"
 
-def _filled_stores(history=4, n_attributes=3, n_drives=6, records=9, seed=3):
-    """The same random stream recorded into both store flavors."""
-    rng = np.random.default_rng(seed)
-    deque_store = DriveStateStore(history)
-    column_store = ColumnStateStore(history, initial_rows=2)
-    for step in range(records):
-        for drive in range(n_drives):
-            serial = f"drive-{drive}"
-            vector = rng.normal(size=n_attributes)
-            level = AlertLevel(int(rng.integers(0, 3)))
-            for store in (deque_store, column_store):
-                store.record(serial, vector, level, hour=step)
-    return deque_store, column_store
+#: Fields the ring-buffer store wrote that the state store now ignores.
+LEGACY_TOP_FIELDS = ("history_hours", "n_attributes")
 
 
-# -- scalar surface parity ---------------------------------------------------
-
-def test_scalar_surface_matches_deque_store():
-    deque_store, column_store = _filled_stores()
-    assert column_store.serials() == deque_store.serials()
-    assert column_store.n_tracked == deque_store.n_tracked
-    for level in AlertLevel:
-        assert column_store.drives_at(level) == deque_store.drives_at(level)
-    for serial in deque_store.serials():
-        assert column_store.level_of(serial) is deque_store.level_of(serial)
-        assert np.array_equal(column_store.history_of(serial),
-                              deque_store.history_of(serial))
-    assert column_store.snapshot() == deque_store.snapshot()
-
-
-def test_ring_wraparound_matches_deque():
-    deque_store = DriveStateStore(3)
-    column_store = ColumnStateStore(3)
-    for step in range(7):
-        vector = np.full(2, float(step))
-        deque_store.record("d", vector, AlertLevel.HEALTHY, hour=step)
-        column_store.record("d", vector, AlertLevel.HEALTHY, hour=step)
-    history = column_store.history_of("d")
-    assert np.array_equal(history, deque_store.history_of("d"))
-    # Oldest-first: records 4, 5, 6 survive in that order.
-    assert history[:, 0].tolist() == [4.0, 5.0, 6.0]
+def legacy_shaped(state: dict, n_attributes: int,
+                  history_hours: int = 48) -> dict:
+    """``state`` (a ``dump_state`` payload) in the ring-buffer store's
+    shape: top-level ``history_hours`` / ``n_attributes`` plus one
+    ``window`` of records per drive, as older WAL snapshots carry."""
+    shaped = json.loads(json.dumps(state))
+    shaped["history_hours"] = history_hours
+    shaped["n_attributes"] = n_attributes
+    for index, entry in enumerate(shaped["drives"].values()):
+        depth = 1 + index % history_hours
+        entry["window"] = [[0.25 * (index + step)] * n_attributes
+                           for step in range(depth)]
+    return shaped
 
 
-def test_history_of_unknown_serial_raises():
-    store = ColumnStateStore(3)
-    with pytest.raises(ReproError, match="no observations"):
-        store.history_of("never-seen")
-
+# -- scalar surface ----------------------------------------------------------
 
 def test_constructor_validation():
-    with pytest.raises(ReproError, match="history_hours"):
-        ColumnStateStore(0)
     with pytest.raises(ReproError, match="initial_rows"):
-        ColumnStateStore(3, initial_rows=0)
+        ColumnStateStore(initial_rows=0)
 
 
-def test_record_width_mismatch_is_typed():
-    store = ColumnStateStore(3)
-    store.record("d", np.zeros(4), AlertLevel.HEALTHY)
-    with pytest.raises(ReproError, match="attributes"):
-        store.record("d", np.zeros(5), AlertLevel.HEALTHY)
-    with pytest.raises(ReproError, match="attributes"):
-        store.record_block(["e"], np.zeros((1, 5)),
-                           np.zeros(1, dtype=np.int8), [0])
+def test_record_width_mismatch_is_typed(monitor_parts):
+    # The store keeps no records, so record width is checked where
+    # records come in: the monitor's normalizer refuses a wrong width.
+    _, columnar = _monitor_pair(monitor_parts)
+    width = len(monitor_parts[1].minima)
+    with pytest.raises(ReproError, match="column"):
+        columnar.observe("d", 0, np.zeros(width + 1))
+    with pytest.raises(ReproError, match="column"):
+        columnar.observe_columns(["e"], [0], np.zeros((1, width + 1)))
+    assert columnar.n_tracked == 0
 
 
 # -- growth and recycling ----------------------------------------------------
 
 def test_capacity_grows_by_doubling():
-    store = ColumnStateStore(2, initial_rows=2)
+    store = ColumnStateStore(initial_rows=2)
+    assert store.capacity == 0
     for drive in range(5):
-        store.record(f"d{drive}", np.full(2, float(drive)),
-                     AlertLevel.HEALTHY, hour=drive)
+        store.record(f"d{drive}", AlertLevel(drive % 3), hour=drive)
     assert store.capacity == 8
     assert store.n_tracked == 5
     for drive in range(5):
-        assert store.history_of(f"d{drive}")[0, 0] == float(drive)
+        assert store.level_of(f"d{drive}") is AlertLevel(drive % 3)
 
 
 def test_evict_idle_recycles_rows():
-    store = ColumnStateStore(2, initial_rows=2)
+    store = ColumnStateStore(initial_rows=2)
     for drive in range(4):
-        store.record(f"d{drive}", np.zeros(2), AlertLevel.WATCH, hour=drive)
+        store.record(f"d{drive}", AlertLevel.WATCH, hour=drive)
     capacity_before = store.capacity
     evicted = store.evict_idle(before_hour=2)
     assert evicted == 2
     assert store.drives_evicted == 2
     assert store.serials() == ["d2", "d3"]
     assert store.level_of("d0") is AlertLevel.HEALTHY
-    with pytest.raises(ReproError):
-        store.history_of("d0")
+    assert store.drives_at(AlertLevel.WATCH) == ["d2", "d3"]
     assert store.capacity == capacity_before
     # Freed rows are handed to new drives before any growth.
-    store.record("d-new", np.ones(2), AlertLevel.HEALTHY, hour=9)
+    store.record("d-new", AlertLevel.HEALTHY, hour=9)
     assert store.capacity == capacity_before
     assert store.snapshot()["drives_evicted"] == 2
     # An all-idle cutoff empties the store.
@@ -129,25 +106,25 @@ def test_evict_idle_recycles_rows():
 
 
 def test_reappearing_drive_gets_fresh_history():
-    store = ColumnStateStore(4)
-    store.record("d", np.full(2, 1.0), AlertLevel.CRITICAL, hour=0)
-    store.record("d", np.full(2, 2.0), AlertLevel.CRITICAL, hour=1)
-    assert store.evict_idle(before_hour=5) == 1
-    store.record("d", np.full(2, 7.0), AlertLevel.HEALTHY, hour=6)
-    history = store.history_of("d")
-    assert history.shape[0] == 1
-    assert history[0, 0] == 7.0
+    store = ColumnStateStore()
+    store.record("d", AlertLevel.CRITICAL, hour=0)
+    store.record("d", AlertLevel.CRITICAL, hour=7)
+    assert store.evict_idle(before_hour=8) == 1
+    store.record("d", AlertLevel.HEALTHY, hour=3)
     assert store.level_of("d") is AlertLevel.HEALTHY
+    # The eviction clock restarted too: hour 7 from before is forgotten.
+    assert store.evict_idle(before_hour=4) == 1
 
 
-def test_deque_store_evicts_too():
-    store = DriveStateStore(4)
-    store.record("a", np.zeros(2), AlertLevel.WATCH, hour=0)
-    store.record("b", np.zeros(2), AlertLevel.WATCH, hour=5)
-    assert store.evict_idle(before_hour=3) == 1
-    assert store.drives_evicted == 1
-    assert store.serials() == ["b"]
-    assert store.snapshot()["drives_evicted"] == 1
+def test_snapshot_lists_levels_only():
+    store = ColumnStateStore()
+    store.record("b", AlertLevel.WATCH, hour=1)
+    store.record("a", AlertLevel.CRITICAL, hour=2)
+    assert store.snapshot() == {
+        "n_tracked": 2,
+        "drives_evicted": 0,
+        "drives": {"a": {"level": "CRITICAL"}, "b": {"level": "WATCH"}},
+    }
 
 
 # -- record_block vs sequential record ---------------------------------------
@@ -155,28 +132,24 @@ def test_deque_store_evicts_too():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_record_block_matches_sequential_record(seed):
     rng = np.random.default_rng(seed)
-    history, n_attributes = 3, 2
     serial_pool = [f"d{i}" for i in range(5)]
-    # Duplicate-heavy block: 40 samples over 5 drives, so most drives
-    # repeat far beyond the ring capacity within the single block.
+    # Duplicate-heavy block: 40 samples over 5 drives, with hours out of
+    # order, so the last level and the maximum hour come from different
+    # rows of the same drive.
     serials = [serial_pool[i] for i in rng.integers(0, 5, size=40)]
-    normalized = rng.normal(size=(40, n_attributes))
     level_codes = rng.integers(0, 3, size=40).astype(np.int8)
     hours = rng.integers(0, 50, size=40)
 
-    sequential = ColumnStateStore(history, initial_rows=1)
+    sequential = ColumnStateStore(initial_rows=1)
     for i, serial in enumerate(serials):
-        sequential.record(serial, normalized[i],
-                          AlertLevel(int(level_codes[i])),
+        sequential.record(serial, AlertLevel(int(level_codes[i])),
                           hour=int(hours[i]))
-    blocked = ColumnStateStore(history, initial_rows=1)
-    blocked.record_block(serials, normalized, level_codes, hours)
+    blocked = ColumnStateStore(initial_rows=1)
+    blocked.record_block(serials, level_codes, hours)
 
     assert blocked.serials() == sequential.serials()
     assert blocked.snapshot() == sequential.snapshot()
-    for serial in sequential.serials():
-        assert np.array_equal(blocked.history_of(serial),
-                              sequential.history_of(serial))
+    assert blocked.dump_state() == sequential.dump_state()
     # The eviction clock advanced identically (max hour per drive).
     for cutoff in (0, 25, 51):
         assert (blocked.evict_idle(cutoff)
@@ -184,17 +157,17 @@ def test_record_block_matches_sequential_record(seed):
 
 
 def test_record_block_empty_is_noop():
-    store = ColumnStateStore(3)
-    store.record_block([], np.empty((0, 4)), np.empty(0, dtype=np.int8), [])
+    store = ColumnStateStore()
+    store.record_block([], np.empty(0, dtype=np.int8), [])
     assert store.n_tracked == 0
+    assert store.capacity == 0
 
 
-def test_rows_of_requires_layout():
-    store = ColumnStateStore(3)
-    with pytest.raises(ReproError, match="no recorded attributes"):
-        store.rows_of(["d"])
-    store.record("d", np.zeros(2), AlertLevel.HEALTHY)
-    assert store.rows_of(["d", "d"]).tolist() == [0, 0]
+def test_rows_of_assigns_rows_on_demand():
+    store = ColumnStateStore()
+    assert store.rows_of(["d", "e", "d"]).tolist() == [0, 1, 0]
+    store.record("d", AlertLevel.HEALTHY)
+    assert store.rows_of(["e", "d"]).tolist() == [1, 0]
 
 
 # -- lazy rescue inversion ---------------------------------------------------
@@ -234,13 +207,11 @@ def monitor_parts(mid_fleet, mid_report):
     return predictor, normalizer, mid_fleet
 
 
-def _monitor_pair(monitor_parts, history_hours=24):
+def _monitor_pair(monitor_parts):
     predictor, normalizer, _ = monitor_parts
-    scalar = DegradationMonitor(predictor, normalizer,
-                                history_hours=history_hours)
-    columnar = DegradationMonitor(
-        predictor, normalizer, history_hours=history_hours,
-        state=ColumnStateStore(history_hours))
+    scalar = DegradationMonitor(predictor, normalizer)
+    columnar = DegradationMonitor(predictor, normalizer,
+                                  state=ColumnStateStore(initial_rows=1))
     return scalar, columnar
 
 
@@ -297,12 +268,15 @@ def test_duplicate_and_out_of_order_tick_parity(monitor_parts):
                    for _, _, r in samples]))
     _assert_alerts_equal(block.alerts(), expected)
 
-    # Post-tick drive state agrees too: levels and ring contents.
+    # Post-tick drive state agrees too: levels and last-seen hours.
     assert columnar.state.serials() == scalar.state.serials()
     for serial in scalar.state.serials():
         assert columnar.level_of(serial) is scalar.level_of(serial)
-        assert np.array_equal(columnar.history_of(serial),
-                              scalar.history_of(serial))
+    assert columnar.state.snapshot() == scalar.state.snapshot()
+    for cutoff in (int(min(h for _, h, _ in samples)),
+                   int(max(h for _, h, _ in samples)) + 1):
+        assert (columnar.state.evict_idle(cutoff)
+                == scalar.state.evict_idle(cutoff))
 
 
 def test_reappearance_after_eviction_parity(monitor_parts):
@@ -327,8 +301,8 @@ def test_reappearance_after_eviction_parity(monitor_parts):
         np.vstack([np.asarray(r, dtype=np.float64).ravel()
                    for _, _, r in reappear]))
     _assert_alerts_equal(actual, expected)
-    assert np.array_equal(columnar.history_of(profile.serial),
-                          scalar.history_of(profile.serial))
+    assert columnar.level_of(profile.serial) is scalar.level_of(
+        profile.serial)
     assert columnar.state.drives_evicted == 1
 
 
@@ -342,18 +316,17 @@ def test_block_shape_validation(monitor_parts):
 
 # -- crash-recovery state dumps ----------------------------------------------
 
-def _dumped_store(seed=13):
-    """A columnar store with growth, eviction and duplicates behind it."""
-    rng = np.random.default_rng(seed)
-    store = ColumnStateStore(3, initial_rows=2)
+def _dumped_store():
+    """A store with growth, eviction and duplicates behind it."""
+    store = ColumnStateStore(initial_rows=2)
     for step in range(4):
         for drive in range(5):
-            store.record(f"d{drive}", rng.normal(size=3),
-                         AlertLevel(int(rng.integers(0, 3))), hour=step)
+            store.record(f"d{drive}", AlertLevel((step + drive) % 3),
+                         hour=step)
     store.evict_idle(before_hour=0)  # no-op, but exercises the counter path
-    store.record("late", rng.normal(size=3), AlertLevel.WATCH, hour=9)
+    store.record("late", AlertLevel.WATCH, hour=9)
     store.evict_idle(before_hour=4)  # evicts d0..d4, frees their rows
-    store.record("after", rng.normal(size=3), AlertLevel.CRITICAL, hour=10)
+    store.record("after", AlertLevel.CRITICAL, hour=10)
     return store
 
 
@@ -367,8 +340,6 @@ def test_dump_state_round_trips_exactly():
     assert twin.drives_evicted == store.drives_evicted
     for serial in store.serials():
         assert twin.level_of(serial) is store.level_of(serial)
-        assert np.array_equal(twin.history_of(serial),
-                              store.history_of(serial))
     # The twin's own dump is identical — dumps are a fixed point.
     assert json.dumps(twin.dump_state(), sort_keys=True) \
         == json.dumps(payload, sort_keys=True)
@@ -380,68 +351,116 @@ def test_restored_store_recycles_the_same_rows():
     store = _dumped_store()
     twin = ColumnStateStore.from_snapshot(store.dump_state())
     for name in ("n1", "n2", "n3"):
-        store.record(name, np.ones(3), AlertLevel.HEALTHY, hour=20)
-        twin.record(name, np.ones(3), AlertLevel.HEALTHY, hour=20)
+        store.record(name, AlertLevel.HEALTHY, hour=20)
+        twin.record(name, AlertLevel.HEALTHY, hour=20)
     assert json.dumps(twin.dump_state(), sort_keys=True) \
         == json.dumps(store.dump_state(), sort_keys=True)
 
 
 def test_restored_store_continues_identically_under_blocks():
     """Duplicate serials inside one block resolve identically after a
-    restore — the in-tick occurrence state is derived, not lost."""
+    restore — last level wins, hour is the maximum."""
     rng = np.random.default_rng(5)
     store = _dumped_store()
     twin = ColumnStateStore.from_snapshot(store.dump_state())
     serials = ["after", "after", "late", "after", "fresh", "fresh"]
-    matrix = rng.normal(size=(len(serials), 3))
     levels = rng.integers(0, 3, size=len(serials)).astype(np.int8)
-    hours = [11] * len(serials)
-    store.record_block(serials, matrix, levels, hours)
-    twin.record_block(serials, matrix, levels, hours)
+    hours = [11, 14, 11, 12, 13, 11]
+    store.record_block(serials, levels, hours)
+    twin.record_block(serials, levels, hours)
     assert json.dumps(twin.dump_state(), sort_keys=True) \
         == json.dumps(store.dump_state(), sort_keys=True)
-    assert np.array_equal(twin.history_of("after"),
-                          store.history_of("after"))
+    assert twin.level_of("after") is AlertLevel(int(levels[3]))
 
 
 def test_empty_store_round_trips():
-    store = ColumnStateStore(4, initial_rows=3)
+    store = ColumnStateStore(initial_rows=3)
     twin = ColumnStateStore.from_snapshot(store.dump_state())
     assert twin.serials() == []
-    twin.record("first", np.zeros(2), AlertLevel.HEALTHY, hour=0)
+    twin.record("first", AlertLevel.HEALTHY, hour=0)
     assert twin.serials() == ["first"]
+    assert twin.capacity == 3
 
 
 def test_restore_rejects_malformed_payloads():
-    store = ColumnStateStore(3)
+    store = ColumnStateStore()
     with pytest.raises(ReproError, match="'deque'"):
         store.restore({"kind": "deque", "history_hours": 3})
-    with pytest.raises(ReproError, match="retains 5 hours"):
-        store.restore({"kind": "columnar", "history_hours": 5,
-                       "capacity": 1, "n_attributes": 1, "free": [],
-                       "drives": {}})
     with pytest.raises(ReproError, match="malformed state dump"):
         store.restore({"kind": "columnar"})
+    with pytest.raises(ReproError, match="malformed state dump"):
+        store.restore({"kind": "columnar", "capacity": 1, "free": [],
+                       "drives": {"d": {"row": 0, "level": 0}}})
     with pytest.raises(ReproError, match="outside the dumped layout"):
-        store.restore({"kind": "columnar", "history_hours": 3,
-                       "capacity": 1, "n_attributes": 2, "free": [],
+        store.restore({"kind": "columnar", "capacity": 1, "free": [],
                        "drives": {"d": {"row": 5, "level": 0,
-                                        "last_hour": 0,
-                                        "window": [[0.0, 0.0]]}}})
+                                        "last_hour": 0}}})
     with pytest.raises(ReproError, match="malformed state dump"):
         ColumnStateStore.from_snapshot({"kind": "columnar"})
 
 
-def test_deque_store_round_trips_exactly():
-    deque_store, _ = _filled_stores()
-    payload = json.loads(json.dumps(deque_store.dump_state()))
-    twin = DriveStateStore.from_snapshot(payload)
-    assert twin.serials() == deque_store.serials()
-    for serial in deque_store.serials():
-        assert twin.level_of(serial) is deque_store.level_of(serial)
-        assert np.array_equal(twin.history_of(serial),
-                              deque_store.history_of(serial))
-    assert json.dumps(twin.dump_state(), sort_keys=True) \
-        == json.dumps(payload, sort_keys=True)
-    with pytest.raises(ReproError, match="'columnar'"):
-        twin.restore({"kind": "columnar", "history_hours": 4})
+# -- dumps written by the ring-buffer store ----------------------------------
+
+def _legacy_stream():
+    """The stream behind ``LEGACY_DUMP``: six blocks of eight samples
+    with in-block duplicate serials and out-of-order hours; drives idle
+    before hour 30 are evicted after the fourth block."""
+    blocks = []
+    for tick in range(6):
+        serials = [f"d{(tick * 3 + k * k) % 11}" for k in range(8)]
+        codes = np.array([(tick + k) % 3 for k in range(8)], dtype=np.int8)
+        hours = [tick * 10 + (k * 7) % 5 for k in range(8)]
+        blocks.append((serials, codes, hours))
+    return blocks
+
+
+def _fed_directly():
+    store = ColumnStateStore(initial_rows=2)
+    for tick, (serials, codes, hours) in enumerate(_legacy_stream()):
+        store.record_block(serials, codes, hours)
+        if tick == 3:
+            store.evict_idle(30)
+    return store
+
+
+def test_legacy_ring_dump_restores_to_the_same_store():
+    legacy = json.loads(LEGACY_DUMP.read_text())
+    assert legacy["schema"] == 1
+    assert any(len(entry["window"]) > 1
+               for entry in legacy["drives"].values())
+    direct = _fed_directly()
+    restored = ColumnStateStore.from_snapshot(legacy)
+    # The dump carries evicted and recycled rows; everything but the
+    # ring fields is exactly what the current store writes.
+    assert legacy["free"] and legacy["drives_evicted"] == 5
+    stripped = {key: value for key, value in legacy.items()
+                if key not in LEGACY_TOP_FIELDS}
+    for entry in stripped["drives"].values():
+        del entry["window"]
+    assert restored.dump_state() == stripped == direct.dump_state()
+    assert restored.serials() == direct.serials()
+    for level in AlertLevel:
+        assert restored.drives_at(level) == direct.drives_at(level)
+    for serial in direct.serials() + ["never-seen"]:
+        assert restored.level_of(serial) is direct.level_of(serial)
+    # Both go on identically: a block reusing freed rows, then eviction.
+    serials = ["d0", "new", "d0", "d3"]
+    codes = np.array([2, 1, 0, 1], dtype=np.int8)
+    for store in (restored, direct):
+        store.record_block(serials, codes, [60, 61, 62, 55])
+    assert restored.dump_state() == direct.dump_state()
+    for cutoff in (45, 53, 61, 70):
+        assert restored.evict_idle(cutoff) == direct.evict_idle(cutoff)
+        assert restored.serials() == direct.serials()
+
+
+def test_legacy_shaped_helper_matches_the_legacy_dump():
+    """``legacy_shaped`` (used by the scorer and WAL recovery tests)
+    produces the ring-buffer store's field layout."""
+    legacy = json.loads(LEGACY_DUMP.read_text())
+    shaped = legacy_shaped(_fed_directly().dump_state(), n_attributes=3,
+                           history_hours=4)
+    assert set(shaped) == set(legacy)
+    for serial, entry in legacy["drives"].items():
+        assert set(shaped["drives"][serial]) == set(entry)
+        assert len(shaped["drives"][serial]["window"][0]) == 3

@@ -66,17 +66,6 @@ def test_drives_at_level_partition(monitor, monitor_parts):
     assert tracked == {good.serial, failed.serial}
 
 
-def test_history_rolls(monitor_parts):
-    predictor, normalizer, fleet = monitor_parts
-    monitor = DegradationMonitor(predictor, normalizer, history_hours=5)
-    profile = fleet.dataset.good_profiles[0]
-    for hour, row in zip(profile.hours[:10], profile.matrix[:10]):
-        monitor.observe(profile.serial, int(hour), row)
-    assert monitor.history_of(profile.serial).shape[0] == 5
-    with pytest.raises(ReproError):
-        monitor.history_of("never-seen")
-
-
 def test_untrained_predictor_rejected(monitor_parts):
     _, normalizer, _ = monitor_parts
     with pytest.raises(ReproError):
@@ -88,8 +77,6 @@ def test_threshold_validation(monitor_parts):
     with pytest.raises(ReproError):
         DegradationMonitor(predictor, normalizer,
                            watch_threshold=-0.5, critical_threshold=-0.1)
-    with pytest.raises(ReproError):
-        DegradationMonitor(predictor, normalizer, history_hours=0)
 
 
 def test_alert_levels_ordered():

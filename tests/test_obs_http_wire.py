@@ -205,3 +205,14 @@ def test_server_keeps_serving_after_refusals(route_server):
         "/ingest", b"y" * 1024, extra="Connection: close\r\n"))
     assert reply.startswith(b"HTTP/1.1 200 ")
     assert reply.endswith(b'{"accepted": 1024}\n')
+
+
+def test_unknown_post_path_is_404_and_closes(route_server):
+    # The unread body is a well-formed request of its own: on a kept-alive
+    # connection it would be answered as a second request.
+    smuggled = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+    reply = _raw_exchange(route_server,
+                          _post_request("/nowhere", smuggled))
+    assert reply.startswith(b"HTTP/1.1 404 ")
+    assert b"\r\nConnection: close\r\n" in reply
+    assert reply.count(b"HTTP/1.1 ") == 1

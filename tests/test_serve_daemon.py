@@ -147,6 +147,50 @@ def test_malformed_bodies_are_400(bundle):
                 in metrics)
 
 
+
+def _wal_bytes(wal_dir):
+    return sum(path.stat().st_size for path in wal_dir.rglob("*")
+               if path.is_file())
+
+
+def test_non_finite_and_wrong_width_records_are_400(bundle, samples,
+                                                    tmp_path):
+    """Admission refuses what no verdict could be trusted on, in both
+    body forms, before any WAL append."""
+    serial, hour, values = samples[0]
+
+    def bodies(rows):
+        document = json.dumps({"samples": [
+            [serial, hour + step, row] for step, row in enumerate(rows)]})
+        lines = "".join(
+            json.dumps({"serial": serial, "hour": hour + step,
+                        "values": row}) + "\n"
+            for step, row in enumerate(rows))
+        return [document.encode("utf-8"), lines.encode("utf-8")]
+
+    refused = []
+    for bad in ("nan", "inf", "-inf"):
+        refused += bodies([values, [float(bad)] + values[1:]])
+    refused += bodies([values + [1.0], values + [2.0]])
+    refused += bodies([values[:-1], values[:-1]])
+    wal_dir = tmp_path / "wal"
+    with ServingDaemon(bundle, wal_dir=wal_dir) as daemon:
+        status, _headers, _reply = _post(daemon.url + "/ingest",
+                                         _json_doc(samples[:8]))
+        assert status == 200
+        before = _wal_bytes(wal_dir)
+        assert before > 0
+        for body in refused:
+            status, _headers, reply = _post(daemon.url + "/ingest", body)
+            assert status == 400, body
+            assert "error" in json.loads(reply)
+        assert _wal_bytes(wal_dir) == before
+        assert daemon.samples_accepted == 8
+        metrics = _get(daemon.url + "/metrics")[2]
+        assert (f'repro_ingest_requests_total{{outcome="bad_request"}} '
+                f'{len(refused)}' in metrics)
+
+
 # -- backpressure -----------------------------------------------------------
 
 def test_saturated_shard_answers_429_with_retry_after(bundle, samples):

@@ -299,3 +299,43 @@ def test_blackhole_sink_attempts_are_counted():
             sink.emit(_verdict())
     assert sink.attempts == 3
     assert sink.describe() == "blackhole"
+
+
+# -- snapshots written by the ring-buffer store ------------------------------
+
+def test_shard_set_recovers_from_ring_buffer_snapshot(bundle, blocks,
+                                                      reference_lines,
+                                                      tmp_path):
+    """WAL snapshots whose state carries the ring-buffer store's
+    per-drive ``window`` history restore as they are: the successor
+    replays nothing and finishes the stream byte-identically."""
+    from tests.test_core_columnar import legacy_shaped
+
+    wal_dir = tmp_path / "wal"
+    half = len(blocks) // 2
+    lines: list[str] = []
+    with ShardSet(bundle, n_shards=2, wal_dir=wal_dir,
+                  wal_fsync_every=1) as first:
+        for index in range(half):
+            lines.extend(first.submit_block(
+                *blocks[index], block_id=f"ring-{index}").to_json_lines())
+    snapshots = sorted(wal_dir.rglob("snapshot-*.json"))
+    assert len(snapshots) == 2
+    for path in snapshots:
+        document = json.loads(path.read_text())
+        state = document["state"]
+        assert state["state"]["drives"]
+        state["state"] = legacy_shaped(state["state"],
+                                       n_attributes=bundle.n_attributes,
+                                       history_hours=bundle.history_hours)
+        path.write_text(json.dumps(document, separators=(",", ":"),
+                                   sort_keys=True) + "\n")
+    observer = TelemetryObserver()
+    with ShardSet(bundle, n_shards=2, wal_dir=wal_dir, wal_fsync_every=1,
+                  observer=observer) as successor:
+        assert successor.wait_ready(timeout=30.0)
+        for index in range(half, len(blocks)):
+            lines.extend(successor.submit_block(
+                *blocks[index], block_id=f"ring-{index}").to_json_lines())
+    assert lines == reference_lines
+    assert observer.metrics.counter("wal_replayed_blocks").value == 0

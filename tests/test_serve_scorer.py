@@ -204,3 +204,49 @@ def test_scorer_emits_telemetry(loaded_bundle, stream_profiles):
     snapshot = observer.metrics.snapshot()
     assert snapshot["samples_scored"]["value"] == scorer.samples_scored
     assert snapshot["drives_tracked"]["value"] == 1
+
+
+def test_restore_state_accepts_ring_buffer_dump(loaded_bundle,
+                                                stream_profiles):
+    """A scorer dump from the ring-buffer store (per-drive ``window``
+    history, ``n_attributes``, ``history_hours``) restores to a scorer
+    that agrees with one fed the same stream directly."""
+    import json
+
+    from tests.test_core_columnar import legacy_shaped
+
+    samples = [(profile.serial, int(hour), row)
+               for profile in stream_profiles
+               for hour, row in zip(profile.hours[:8], profile.matrix[:8])]
+    blocks = [samples[start:start + 20]
+              for start in range(0, len(samples), 20)]
+
+    def score(scorer, block):
+        return scorer.score_block(
+            [s for s, _, _ in block], [h for _, h, _ in block],
+            np.vstack([r for _, _, r in block])).to_json_lines()
+
+    direct = StreamScorer(loaded_bundle)
+    half = len(blocks) // 2
+    for block in blocks[:half]:
+        score(direct, block)
+    # Evict the earliest drives so the dump carries freed rows.
+    first_hours = sorted({h for _, h, _ in samples})
+    assert direct.evict_idle(first_hours[len(first_hours) // 2]) > 0
+    dump = direct.dump_state()
+    legacy = dict(dump, state=legacy_shaped(
+        dump["state"], n_attributes=loaded_bundle.n_attributes,
+        history_hours=loaded_bundle.history_hours))
+    restored = StreamScorer(loaded_bundle)
+    restored.restore_state(json.loads(json.dumps(legacy)))
+
+    assert restored.state.serials() == direct.state.serials()
+    assert restored.samples_scored == direct.samples_scored
+    for level in AlertLevel:
+        assert restored.drives_at(level) == direct.drives_at(level)
+    for serial in {s for s, _, _ in samples}:
+        assert restored.level_of(serial) is direct.level_of(serial)
+    for block in blocks[half:]:
+        assert score(restored, block) == score(direct, block)
+    assert restored.dump_state() == direct.dump_state()
+    assert restored.evict_idle(10 ** 6) == direct.evict_idle(10 ** 6)

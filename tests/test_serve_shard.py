@@ -243,3 +243,22 @@ def test_submit_validates_columns(bundle):
         with pytest.raises(ServeError, match="disagree"):
             shards.submit(["a", "b"], [1], np.zeros((1, 4)))
         assert shards.submit([], [], np.zeros((0, 4))) == []
+
+
+def test_submit_refuses_non_finite_and_wrong_width(bundle,
+                                                   columnar_samples):
+    serials, hours, matrix = columnar_samples
+    serials, hours, matrix = serials[:6], hours[:6], matrix[:6]
+    with ShardSet(bundle, n_shards=2) as shards:
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = matrix.copy()
+            poisoned[4, 1] = bad
+            with pytest.raises(ServeError, match=r"sample 4 .*non-finite"):
+                shards.submit_block(serials, hours, poisoned)
+        for width in (bundle.n_attributes - 1, bundle.n_attributes + 1):
+            with pytest.raises(ServeError, match="bundle expects"):
+                shards.submit_block(serials, hours, np.zeros((6, width)))
+        # Nothing was routed: no drive is tracked, no batch in flight.
+        assert shards.drives_tracked() == 0
+        assert shards.inflight() == [0, 0]
+        assert len(shards.submit_block(serials, hours, matrix)) == 6
