@@ -8,8 +8,11 @@ with a :class:`~repro.core.columnar.ColumnStateStore`, no per-row verdict
 materialization — against the ``push_many`` baseline recorded by
 ``benchmarks/test_perf_serve.py`` on the same stream shape (200 drives,
 ~39k samples), asserts the ``>= 10x`` floor, and writes the numbers to
-``benchmarks/output/perf_columnar.json`` (the ``speedup`` ratio and the
+``benchmarks/output/perf_columnar.json`` (the ``speedup`` ratios and the
 ``*samples_per_s`` throughputs are pinned by ``scripts/compare_bench.py``).
+The same record carries the verdict encoder (``VerdictBlock.to_json_lines``)
+against the per-row scalar reference (``verdict_at(row).to_json_line()``),
+with a cold and a warm leaf table, per hour tick and over the whole stream.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import pytest
 
 from conftest import bench_environment
 from repro.core.serialize import canonical_json_dumps
+from repro.serve import scorer as scorer_module
 from repro.serve.bundle import build_bundle
 from repro.serve.scorer import StreamScorer
 
@@ -150,6 +154,56 @@ def test_perf_columnar_recorded(columnar_bundle, columnar_stream,
 
     tick_s = _best_of(tick_pass, repeat=3)
 
+    # Verdict encoder vs the per-row scalar reference, on blocks scored
+    # once: identity first, then cold (empty leaf table) and warm runs.
+    tick_scorer = StreamScorer(columnar_bundle)
+    scored_ticks = [(indices, tick_scorer.score_block(t_serials, t_hours,
+                                                      t_matrix))
+                    for indices, t_serials, t_hours, t_matrix in tick_blocks]
+    encoded: list[str | None] = [None] * n_samples
+    for indices, tick in scored_ticks:
+        for index, line in zip(indices, tick.to_json_lines()):
+            encoded[index] = line
+    assert encoded == expected
+    assert block.to_json_lines() == expected
+
+    def reference_stream():
+        return [block.verdict_at(row).to_json_line()
+                for row in range(n_samples)]
+
+    def reference_ticks():
+        for _, tick in scored_ticks:
+            for row in range(len(tick)):
+                tick.verdict_at(row).to_json_line()
+
+    def encode_ticks():
+        for _, tick in scored_ticks:
+            tick.to_json_lines()
+
+    def cold(encode):
+        def run():
+            scorer_module._LEAF_TABLE.clear()
+            encode()
+        return run
+
+    reference_s = _best_of(reference_stream, repeat=2)
+    tick_reference_s = _best_of(reference_ticks, repeat=2)
+    stream_cold_s = _best_of(cold(block.to_json_lines), repeat=5)
+    tick_cold_s = _best_of(cold(encode_ticks), repeat=5)
+    stream_warm_s = _best_of(block.to_json_lines, repeat=5)
+    tick_warm_s = _best_of(encode_ticks, repeat=5)
+    distinct_keys = len(scorer_module._LEAF_TABLE)
+    encoder_ratios = {
+        "stream_cold": reference_s / stream_cold_s,
+        "stream_warm": reference_s / stream_warm_s,
+        "tick_cold": tick_reference_s / tick_cold_s,
+        "tick_warm": tick_reference_s / tick_warm_s,
+    }
+    for name, ratio in encoder_ratios.items():
+        assert ratio >= 10.0, (
+            f"verdict encoder ({name}) only {ratio:.1f}x over the "
+            f"per-row reference")
+
     payload = {
         "recorded_by": "benchmarks/test_perf_columnar.py"
                        "::test_perf_columnar_recorded",
@@ -174,6 +228,21 @@ def test_perf_columnar_recorded(columnar_bundle, columnar_stream,
             "rows_per_tick": n_samples / len(tick_blocks),
             "note": "one score_block call per hour tick; small-batch "
                     "overhead context, not the headline",
+        },
+        "verdict_encoding": {
+            "reference_samples_per_s": n_samples / reference_s,
+            "tick_reference_samples_per_s": n_samples / tick_reference_s,
+            "stream_cold_samples_per_s": n_samples / stream_cold_s,
+            "stream_warm_samples_per_s": n_samples / stream_warm_s,
+            "tick_cold_samples_per_s": n_samples / tick_cold_s,
+            "tick_warm_samples_per_s": n_samples / tick_warm_s,
+            "speedup": encoder_ratios["stream_warm"],
+            "ratios": encoder_ratios,
+            "distinct_keys": distinct_keys,
+            "identical_lines": True,
+            "note": "VerdictBlock.to_json_lines on already-scored blocks "
+                    "vs verdict_at(row).to_json_line(); cold clears the "
+                    "leaf table before each run; gate: every ratio >= 10x",
         },
     }
     path = artifact_dir / "perf_columnar.json"

@@ -49,7 +49,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -75,9 +75,9 @@ from repro.serve.watch import WatchService
 from repro.sim.config import FleetConfig
 from repro.sim.fleet import simulate_fleet
 
-#: Samples scored per ``push_many`` batch on the ``score`` stream — one
-#: normalizer pass and one tree pass per group per batch, while keeping
-#: arrival-order latency bounded.
+#: Samples per ``score_block`` batch on the ``score`` stream — one
+#: normalizer pass, one tree pass per group and one encoder pass per
+#: batch, while keeping arrival-order latency bounded.
 STREAM_BATCH_SIZE = 256
 
 
@@ -273,7 +273,10 @@ def read_sample_stream(handle: IO[str], attributes: tuple[str, ...],
     The header must name exactly the bundle's attribute columns, in
     order — a scorer fed columns in another drive's convention would
     silently produce garbage stages, so the mismatch is a hard
-    :class:`~repro.errors.ServeError` instead.
+    :class:`~repro.errors.ServeError` instead.  So is a ``nan`` or
+    ``±inf`` value: the trees would stage it with confidence (NaN
+    falls through every split), the same reason ``POST /ingest``
+    refuses such records.
     """
     reader = csv.reader(handle)
     try:
@@ -301,19 +304,28 @@ def read_sample_stream(handle: IO[str], attributes: tuple[str, ...],
         except ValueError as error:
             raise ServeError(
                 f"sample stream line {line_number}: {error}") from error
+        finite = np.isfinite(values)
+        if not finite.all():
+            column = int(np.flatnonzero(~finite)[0])
+            raise ServeError(
+                f"sample stream line {line_number}: drive {row[0]!r} has "
+                f"non-finite {attributes[column]}={row[2 + column]!r}; "
+                f"refusing to score it")
         yield row[0], hour, values
 
 
-def _write_verdicts(verdicts: list[MonitorVerdict], sink: IO[str], *,
-                    alerts_only: bool) -> int:
-    """Emit verdicts as JSONL; returns the number of lines written."""
-    written = 0
-    for verdict in verdicts:
-        if alerts_only and not verdict.alerting:
-            continue
-        sink.write(verdict.to_json_line() + "\n")
-        written += 1
-    return written
+def _write_verdicts(lines: Iterable[str], sink: IO[str]) -> int:
+    """Emit canonical verdict lines as JSONL; returns how many."""
+    lines = list(lines)
+    sink.write("".join(line + "\n" for line in lines))
+    return len(lines)
+
+
+def _verdict_lines(verdicts: list[MonitorVerdict], *,
+                   alerts_only: bool) -> Iterator[str]:
+    """Canonical lines of per-sample verdicts (``watch``/``replay``)."""
+    return (verdict.to_json_line() for verdict in verdicts
+            if verdict.alerting or not alerts_only)
 
 
 def run_score(args: argparse.Namespace,
@@ -325,15 +337,21 @@ def run_score(args: argparse.Namespace,
     def score_stream(source: IO[str], sink: IO[str]) -> int:
         lines = 0
         batch: list[tuple[str, int, np.ndarray]] = []
+
+        def flush() -> int:
+            serials, hours, records = zip(*batch)
+            batch.clear()
+            block = scorer.score_block(serials, hours, np.array(records))
+            return _write_verdicts(block.to_json_lines(
+                block.alerting_rows() if args.alerts_only else None), sink)
+
         with observer.span("score-stream"):
             for sample in read_sample_stream(source, bundle.attributes):
                 batch.append(sample)
                 if len(batch) >= STREAM_BATCH_SIZE:
-                    lines += _write_verdicts(scorer.push_many(batch), sink,
-                                             alerts_only=args.alerts_only)
-                    batch.clear()
-            lines += _write_verdicts(scorer.push_many(batch), sink,
-                                     alerts_only=args.alerts_only)
+                    lines += flush()
+            if batch:
+                lines += flush()
         return lines
 
     source = sys.stdin if args.input == "-" else open(args.input, newline="")
@@ -370,8 +388,8 @@ def run_watch(args: argparse.Namespace,
             batch.clear()
             if args.throttle > 0:
                 time.sleep(args.throttle)
-            return _write_verdicts(verdicts, sink,
-                                   alerts_only=args.alerts_only)
+            return _write_verdicts(_verdict_lines(
+                verdicts, alerts_only=args.alerts_only), sink)
 
         with observer.span("watch-stream"):
             for sample in read_sample_stream(source, bundle.attributes):
@@ -557,8 +575,8 @@ def run_replay(args: argparse.Namespace,
     if args.output:
         with open(args.output, "w") as sink:
             written = sum(
-                _write_verdicts(verdicts, sink,
-                                alerts_only=args.alerts_only)
+                _write_verdicts(_verdict_lines(
+                    verdicts, alerts_only=args.alerts_only), sink)
                 for verdicts in per_profile
             )
         print(f"{written} verdicts written to {args.output}")
@@ -595,6 +613,20 @@ def run_bench(args: argparse.Namespace,
         scorer.push_many(samples)
         batched_times.append(time.perf_counter() - start)
 
+    # The ``score`` path: one score_block plus encoder pass per batch.
+    batches = []
+    for index in range(0, len(samples), STREAM_BATCH_SIZE):
+        serials, hours, records = zip(
+            *samples[index:index + STREAM_BATCH_SIZE])
+        batches.append((serials, hours, np.array(records)))
+    encoded_times = []
+    for _ in range(rounds):
+        scorer = StreamScorer(bundle)
+        start = time.perf_counter()
+        for serials, hours, matrix in batches:
+            scorer.score_block(serials, hours, matrix).to_json_lines()
+        encoded_times.append(time.perf_counter() - start)
+
     single_times = []
     for _ in range(rounds):
         scorer = StreamScorer(bundle)
@@ -605,6 +637,7 @@ def run_bench(args: argparse.Namespace,
 
     batched_s = min(batched_times)
     single_s = min(single_times)
+    encoded_s = min(encoded_times)
     payload = {
         "bundle": str(Path(args.bundle)),
         "rounds": rounds,
@@ -622,6 +655,8 @@ def run_bench(args: argparse.Namespace,
             "push_many_samples_per_s": len(samples) / batched_s,
             "push_s": single_s,
             "push_samples_per_s": len(samples) / single_s,
+            "score_block_encode_s": encoded_s,
+            "score_block_encode_samples_per_s": len(samples) / encoded_s,
             "speedup": single_s / batched_s,
         },
     }

@@ -12,9 +12,14 @@ growth — so memory stays O(live drives) no matter how long the stream
 runs and the healthy path allocates nothing per drive.  Verdicts are
 functions of the current record alone, so no record history is kept.
 ``score_block`` returns
-a :class:`VerdictBlock`: verdict columns, not verdict objects —
-:class:`MonitorVerdict` materialization is deferred to the rare
-alerting rows (or to callers that explicitly ask for all of them).
+a :class:`VerdictBlock`: verdict columns, not verdict objects.  Its
+``to_json_lines`` is the verdict encoder: every field of a verdict
+except ``serial`` and ``hour`` is a function of the row's three
+tree-leaf stages (plus its level and likely type), so the canonical
+line text around the serial is rendered once per distinct leaf triple
+by the scalar code and spliced per row.  :class:`MonitorVerdict`
+objects are built only for the rare alerting rows that reach sinks, or
+for callers that explicitly ask for them.
 
 The contract that makes the scorer trustworthy is *byte-identity with
 offline replay*: feeding a profile's samples through ``push`` (or
@@ -33,6 +38,7 @@ any job count returns the same verdict lists in the same order.
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 from dataclasses import dataclass, field
@@ -56,6 +62,26 @@ from repro.smart.profile import HealthProfile
 #: Samples are ``(serial, hour, raw_record)`` triples, raw meaning
 #: unnormalized Table I attribute vectors — what a collector ships.
 Sample = tuple[str, int, np.ndarray]
+
+#: Distinct verdict keys (per-type stage bits, level code, likely type)
+#: whose line fragments the verdict encoder keeps; the oldest entry is
+#: dropped beyond this.  A stream meets a few hundred leaf triples at
+#: most, and a full table holds about 3 MB.
+LEAF_TABLE_SIZE = 4096
+
+#: The failure-type order :meth:`DegradationMonitor.observe_columns
+#: <repro.core.monitor.DegradationMonitor.observe_columns>` stacks
+#: stages in — the only order the leaf table is keyed for.
+_TYPES = tuple(FailureType)
+
+#: Leaf table: verdict key → (text between hour and serial, text after
+#: the serial).  Shared by every scorer in the process: a key fixes the
+#: whole verdict apart from serial and hour, whatever bundle scored it.
+_LEAF_TABLE: dict[tuple[int, ...], tuple[str, str]] = {}
+_LEAF_TABLE_LOCK = threading.Lock()
+
+#: JSON text of a ``str`` serial, as ``json.dumps`` renders it.
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,11 +184,12 @@ class VerdictBlock:
     The serving twin of :class:`~repro.core.columnar.AlertBlock`:
     verdict *columns* (stages, severity codes, likely-type indices)
     instead of verdict objects.  Summary counts and alerting-row lookups are
-    array ops; :class:`MonitorVerdict` objects are built only on demand
-    — per alerting row for sink delivery, or for every row when a
-    caller explicitly materializes (``verdicts()`` /
-    ``to_json_lines()``, whose output is byte-identical to the
-    per-sample ``push`` path).
+    array ops; :meth:`to_json_lines` encodes rows through the shared
+    leaf table without building any per-row object, and
+    :class:`MonitorVerdict` objects are built only on demand — per
+    alerting row for sink delivery (``verdict_at``), or for every row
+    through ``verdicts()``.  ``verdict_at(row).to_json_line()`` is the
+    scalar reference the encoder's lines equal byte for byte.
     """
 
     block: AlertBlock
@@ -196,10 +223,42 @@ class VerdictBlock:
         """Materialize every row — the compatibility slow path."""
         return [self.verdict_at(row) for row in range(len(self.block))]
 
-    def to_json_lines(self) -> list[str]:
-        """Canonical JSON line per row, byte-identical to ``push``."""
-        return [self.verdict_at(row).to_json_line()
-                for row in range(len(self.block))]
+    def to_json_lines(self, rows: Sequence[int] | np.ndarray | None = None,
+                      ) -> list[str]:
+        """Canonical JSON line per row (all rows, or ``rows`` in order).
+
+        Each line equals ``verdict_at(row).to_json_line()`` byte for
+        byte.  A row's key is the bit pattern of each per-type stage
+        (so ``-0.0`` and ``0.0`` stay apart), its level code and its
+        likely-type index; on a leaf-table miss the scalar reference
+        renders the key once and its text either side of the serial
+        is kept.  Lines are then ``{"hour":`` + hour + head + serial +
+        tail.
+        """
+        block = self.block
+        if block.types != _TYPES:   # keys would name other verdicts
+            picked = range(len(block)) if rows is None else rows
+            return [self.verdict_at(int(row)).to_json_line()
+                    for row in picked]
+        if rows is None:
+            stages, codes = block.stages, block.level_codes
+            likely, hours = block.likely_indices, block.hours
+            serials = block.serials
+        else:
+            rows = np.asarray(rows, dtype=np.int64).ravel()
+            stages, codes = block.stages[:, rows], block.level_codes[rows]
+            likely, hours = block.likely_indices[rows], block.hours[rows]
+            serials = [block.serials[row] for row in rows.tolist()]
+        bits = np.ascontiguousarray(stages, dtype=np.float64).view(np.uint64)
+        keys = zip(*bits.tolist(), codes.tolist(), likely.tolist())
+        table = _LEAF_TABLE
+        lines = []
+        for key, hour, serial in zip(keys, hours.tolist(), serials):
+            head, tail = table.get(key) or _leaf_fragments(key)
+            text = (_encode_str(serial) if isinstance(serial, str)
+                    else json.dumps(serial))
+            lines.append(f'{{"hour":{hour}{head}{text}{tail}')
+        return lines
 
     @classmethod
     def empty(cls) -> "VerdictBlock":
@@ -240,6 +299,32 @@ class VerdictBlock:
                               np.asarray(hours, dtype=np.int64),
                               stages, likely, codes,
                               first.types))
+
+
+def _leaf_fragments(key: tuple[int, ...]) -> tuple[str, str]:
+    """Render one leaf-table key through the scalar reference and keep it.
+
+    ``key`` is ``(*stage_bits, level_code, likely_index)``.  A one-row
+    block with an empty serial and hour 0 goes through
+    ``verdict_at(0).to_json_line()``; the text between ``{"hour":0`` and
+    the serial, and after the serial, are the fragments.  A stage the
+    reference refuses (NaN) raises here too and is never stored.
+    """
+    *stage_bits, code, likely = key
+    stages = np.array(stage_bits, dtype=np.uint64).view(np.float64)
+    one = VerdictBlock(AlertBlock(
+        [""], np.zeros(1, dtype=np.int64), stages.reshape(-1, 1),
+        np.array([likely], dtype=np.int64), np.array([code], dtype=np.int8),
+        _TYPES))
+    line = one.verdict_at(0).to_json_line()
+    prefix, marker = '{"hour":0', ',"serial":'
+    split = line.index(marker + '""') + len(marker)
+    fragments = (line[len(prefix):split], line[split + 2:])
+    with _LEAF_TABLE_LOCK:
+        if len(_LEAF_TABLE) >= LEAF_TABLE_SIZE:
+            del _LEAF_TABLE[next(iter(_LEAF_TABLE))]
+        _LEAF_TABLE[key] = fragments
+    return fragments
 
 
 class StreamScorer:

@@ -97,6 +97,28 @@ def test_score_rejects_foreign_header(bundle_path, tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_score_refuses_non_finite_values(bundle_path, stream_csv, tmp_path,
+                                         capsys, value):
+    """A NaN or infinite attribute would be staged with confidence (NaN
+    falls through every tree split), so the stream is refused at the
+    offending CSV line, naming it and the drive, with exit 2."""
+    path, _ = stream_csv
+    rows = path.read_text().splitlines()
+    serial, hour, *values = rows[3].split(",")
+    values[0] = value
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows[:3] + [",".join([serial, hour, *values])])
+                   + "\n")
+    out = tmp_path / "verdicts.jsonl"
+    assert serve_main(["score", "--bundle", str(bundle_path),
+                       "--input", str(bad), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sample stream line 4" in err
+    assert repr(serial) in err and "non-finite" in err
+    assert "Traceback" not in err
+
+
 def test_score_missing_bundle_exits_2(tmp_path, capsys):
     assert serve_main(["score", "--bundle", str(tmp_path / "nope.json"),
                        "--input", str(tmp_path / "nope.csv")]) == 2
@@ -119,6 +141,7 @@ def test_bench_reports_throughput(bundle_path, capsys):
                        "--rounds", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["throughput"]["push_many_samples_per_s"] > 0
+    assert payload["throughput"]["score_block_encode_samples_per_s"] > 0
     assert payload["throughput"]["speedup"] > 0
     assert payload["bundle_load"]["best_s"] > 0
 

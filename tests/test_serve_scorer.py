@@ -1,16 +1,25 @@
 """Tests for the streaming scorer — the byte-identity golden contract."""
 
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.monitor import AlertLevel, DegradationMonitor
+from repro.core.columnar import AlertBlock
+from repro.core.monitor import (DEFAULT_CRITICAL_THRESHOLD,
+                                DEFAULT_WATCH_THRESHOLD, AlertLevel,
+                                DegradationMonitor)
 from repro.core.prediction import DegradationPredictor
-from repro.errors import ServeError
+from repro.core.taxonomy import FailureType
+from repro.errors import ServeError, SignatureError
 from repro.obs.observer import TelemetryObserver
+from repro.serve import scorer as scorer_module
 from repro.serve.bundle import build_bundle, load_bundle, save_bundle
-from repro.serve.scorer import MonitorVerdict, StreamScorer, replay_fleet
+from repro.serve.scorer import (MonitorVerdict, StreamScorer, VerdictBlock,
+                                replay_fleet)
 
 
 @pytest.fixture(scope="module")
@@ -250,3 +259,152 @@ def test_restore_state_accepts_ring_buffer_dump(loaded_bundle,
         assert score(restored, block) == score(direct, block)
     assert restored.dump_state() == direct.dump_state()
     assert restored.evict_idle(10 ** 6) == direct.evict_idle(10 ** 6)
+
+
+# -- the leaf-table verdict encoder ------------------------------------------
+
+#: Stages the encoder must keep apart or render exactly: signed zeros,
+#: the default thresholds, the failure event and values past it (the
+#: clip), and tiny / subnormal magnitudes either side of zero.
+EDGE_STAGES = [-0.0, 0.0, DEFAULT_WATCH_THRESHOLD, DEFAULT_CRITICAL_THRESHOLD,
+               -1.0, -1.0000000000000002, -1.5, -7.25, -0.9999999999999999,
+               -0.33, 0.125, 2.0, 5e-324, -5e-324, 1e-300, -1e-300]
+
+#: Serials JSON must escape: quotes, backslashes, non-ASCII, U+2028.
+NASTY_SERIALS = ['"quoted"', "back\\slash", "ünïcode-✓", "line\u2028sep",
+                 "tab\tand\nnewline", "", "emoji-\U0001F4BE"]
+
+_N_TYPES = len(FailureType)
+
+
+def _hand_block(stages, codes, likely, hours, serials):
+    """An AlertBlock built directly from columns (no scoring)."""
+    return VerdictBlock(AlertBlock(
+        list(serials), np.asarray(hours, dtype=np.int64),
+        np.asarray(stages, dtype=np.float64).reshape(_N_TYPES, -1),
+        np.asarray(likely, dtype=np.int64), np.asarray(codes, dtype=np.int8),
+        tuple(FailureType)))
+
+
+def _reference(block, rows=None):
+    rows = range(len(block)) if rows is None else rows
+    return [block.verdict_at(int(row)).to_json_line() for row in rows]
+
+
+_stage = st.one_of(st.sampled_from(EDGE_STAGES),
+                   st.floats(min_value=-3.0, max_value=3.0,
+                             allow_nan=False, allow_infinity=False))
+_row = st.tuples(
+    st.lists(_stage, min_size=_N_TYPES, max_size=_N_TYPES),
+    st.integers(0, 2), st.integers(0, _N_TYPES - 1),
+    st.integers(-5, 10 ** 7),
+    st.one_of(st.sampled_from(NASTY_SERIALS), st.text(max_size=6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(_row, min_size=1, max_size=24), data=st.data())
+def test_encoder_matches_scalar_reference(rows, data):
+    """Hand-built blocks of edge-case stages, codes, likely types,
+    hours and serials encode to exactly the scalar reference lines,
+    for all rows and for any row subset (repeats and order kept)."""
+    stages = np.array([stages for stages, *_ in rows]).T
+    block = _hand_block(stages, [row[1] for row in rows],
+                        [row[2] for row in rows], [row[3] for row in rows],
+                        [row[4] for row in rows])
+    assert block.to_json_lines() == _reference(block)
+    subset = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12))
+    assert block.to_json_lines(subset) == _reference(block, subset)
+    assert block.to_json_lines(np.asarray(subset, dtype=np.int64)) \
+        == _reference(block, subset)
+
+
+def test_encoder_keeps_signed_zero_apart():
+    """``-0.0 == 0.0``, but the two render differently: the key is the
+    bit pattern, so neither line is served from the other's entry."""
+    block = _hand_block([[0.0, -0.0, 0.0, -0.0]] * _N_TYPES,
+                        [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 2, 2],
+                        ["a", "a", "b", "b"])
+    lines = block.to_json_lines()
+    assert lines == _reference(block)
+    assert lines[0] != lines[1]
+    assert '"stage":-0.0' in lines[1] and '"stage":0.0' in lines[0]
+
+
+def test_encoder_argmin_ties_and_thresholds():
+    """Ties between types and stages exactly on the thresholds: the
+    likely-type index is part of the key, so tied rows naming
+    different types encode differently, each as the reference does."""
+    watch, critical = DEFAULT_WATCH_THRESHOLD, DEFAULT_CRITICAL_THRESHOLD
+    stages = [[watch, watch, critical, -1.0, -2.0],
+              [watch, watch, critical, -1.0, -2.0],
+              [0.5, watch, critical, -1.0, -3.0]]
+    block = _hand_block(stages, [1, 1, 2, 2, 2], [0, 1, 2, 1, 2],
+                        [3, 3, 3, 3, 3], ["t"] * 5)
+    lines = block.to_json_lines()
+    assert lines == _reference(block)
+    assert lines[0] != lines[1]        # same stages, other likely type
+
+
+def test_encoder_refuses_nan_stage_like_reference():
+    """The reference refuses to invert a NaN stage; so does the
+    encoder, and it stores nothing for the key."""
+    size = len(scorer_module._LEAF_TABLE)
+    block = _hand_block([[np.nan], [-0.5], [0.25]], [0], [1], [7], ["n"])
+    with pytest.raises(SignatureError):
+        _reference(block)
+    with pytest.raises(SignatureError):
+        block.to_json_lines()
+    assert len(scorer_module._LEAF_TABLE) <= size
+    clean = _hand_block([[0.75], [-0.5], [0.25]], [1], [1], [7], ["n"])
+    assert clean.to_json_lines() == _reference(clean)
+
+
+def test_encoder_other_type_order_uses_reference():
+    """A block whose types are not in FailureType order bypasses the
+    table (its keys would mean other verdicts) and still encodes
+    exactly as the reference."""
+    types = tuple(reversed(FailureType))
+    block = VerdictBlock(AlertBlock(
+        ["x", "y"], np.array([1, 2]), np.array([[-0.7, 0.3]] * 3),
+        np.array([0, 2]), np.array([2, 0], dtype=np.int8), types))
+    assert block.to_json_lines() == _reference(block)
+    assert block.to_json_lines([1]) == _reference(block, [1])
+
+
+def test_encoder_table_stays_bounded():
+    """More distinct keys than the bound: lines stay exact, the table
+    never grows past ``LEAF_TABLE_SIZE``, and evicted keys re-render."""
+    n = scorer_module.LEAF_TABLE_SIZE + 300
+    stages = np.tile(-np.linspace(0.001, 0.999, n), (_N_TYPES, 1))
+    block = _hand_block(stages, np.ones(n), np.zeros(n), np.arange(n),
+                        [f"d{i}" for i in range(n)])
+    expected = _reference(block)
+    assert block.to_json_lines() == expected
+    assert len(scorer_module._LEAF_TABLE) <= scorer_module.LEAF_TABLE_SIZE
+    assert block.to_json_lines() == expected
+
+
+def test_encoder_after_swap_bundle_has_no_stale_level(loaded_bundle,
+                                                      stream_profiles):
+    """The same leaf triples scored before and after a swap to a
+    bundle with other thresholds: the level code is in the key, so the
+    post-swap lines carry the new levels, exactly as the reference."""
+    samples = [(profile.serial, int(hour), row)
+               for profile in stream_profiles
+               for hour, row in zip(profile.hours, profile.matrix)]
+    serials = [s for s, _, _ in samples]
+    hours = [h for _, h, _ in samples]
+    matrix = np.vstack([r for _, _, r in samples])
+    strict = dataclasses.replace(loaded_bundle, watch_threshold=0.5,
+                                 critical_threshold=-0.05)
+    scorer = StreamScorer(loaded_bundle)
+    before = scorer.score_block(serials, hours, matrix)
+    scorer.swap_bundle(strict)
+    after = scorer.score_block(serials, hours, matrix)
+    assert np.array_equal(before.block.stages, after.block.stages)
+    assert before.to_json_lines() == _reference(before)
+    assert after.to_json_lines() == _reference(after)
+    assert after.n_alerting > before.n_alerting
+    assert after.to_json_lines() != before.to_json_lines()
+    rows = after.alerting_rows()
+    assert after.to_json_lines(rows) == _reference(after, rows)

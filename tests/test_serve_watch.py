@@ -195,6 +195,29 @@ def test_watch_cli_end_to_end(bundle_path, mid_fleet, loaded_bundle,
     assert metrics["samples_scored"]["value"] == n_samples
 
 
+def test_watch_cli_refuses_non_finite_values(bundle_path, loaded_bundle,
+                                            stream_samples, tmp_path,
+                                            capsys):
+    """``watch`` reads the same stream parser as ``score``: a NaN
+    attribute is refused with the CSV line and drive, exit 2."""
+    _, samples = stream_samples
+    stream = tmp_path / "stream.csv"
+    with open(stream, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["serial", "hour", *loaded_bundle.attributes])
+        for serial, hour, row in samples[:5]:
+            writer.writerow([serial, hour, *(repr(float(v)) for v in row)])
+        serial, hour, row = samples[5]
+        writer.writerow([serial, hour, "nan",
+                         *(repr(float(v)) for v in row[1:])])
+    assert serve_main(["watch", "--bundle", str(bundle_path),
+                       "--input", str(stream),
+                       "--output", str(tmp_path / "watch.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "sample stream line 7" in err
+    assert repr(serial) in err and "non-finite" in err
+
+
 def test_replay_fleet_telemetry_matches_serial(loaded_bundle, mid_fleet):
     """`--jobs` stays a pure performance knob for serving telemetry."""
     from repro.serve.scorer import replay_fleet
